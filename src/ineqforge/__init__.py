@@ -32,7 +32,7 @@ from .errors import (
     IneqForgeError,
     PrecisionError,
 )
-from .kernels import KERNELS, Kernel, evaluate, get_kernel
+from .kernels import KERNELS, Kernel, get_kernel
 from .means import (
     MEAN_KINDS,
     evaluate_mean,
@@ -48,7 +48,6 @@ from .verifier import (
     SuiteReport,
     VerificationConfig,
     probe_sharpness,
-    register_builtin_chains,
     run_suite,
     theorem_m6_iff_suite,
     verify_chain,
@@ -81,7 +80,6 @@ __all__ = [
     "constant_p0",
     "constant_p1",
     "constant_registry",
-    "evaluate",
     "evaluate_mean",
     "flipped_catalog",
     "get_kernel",
@@ -91,7 +89,6 @@ __all__ = [
     "mean_bundle",
     "probe_sharpness",
     "reduce_homogeneous",
-    "register_builtin_chains",
     "run_suite",
     "solve_root",
     "substitution_arcsin",

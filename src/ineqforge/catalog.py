@@ -77,7 +77,8 @@ def _shared_env() -> Mapping[str, object]:
     return MappingProxyType(env)
 
 
-def _validate_tree(expr: str, tree: ast.Expression, allowed_names: frozenset) -> None:
+def _prepare_tree(expr: str, tree: ast.Expression, allowed_names: frozenset) -> None:
+    """Check the tree against the whitelist and turn every literal into a float."""
     for node in ast.walk(tree):
         if not isinstance(node, _ALLOWED_NODES):
             raise CatalogError(
@@ -88,8 +89,15 @@ def _validate_tree(expr: str, tree: ast.Expression, allowed_names: frozenset) ->
                 raise CatalogError(f"only plain function calls allowed in {expr!r}")
             if node.keywords:
                 raise CatalogError(f"keyword arguments not allowed in {expr!r}")
-        if isinstance(node, ast.Constant) and not isinstance(node.value, (int, float)):
-            raise CatalogError(f"non-numeric constant in expression {expr!r}")
+        if isinstance(node, ast.Constant):
+            if not isinstance(node.value, (int, float)):
+                raise CatalogError(f"non-numeric constant in expression {expr!r}")
+            # Float literals make arithmetic overflow at once instead of
+            # running big-integer work, as a tower such as 9**9**9 would.
+            try:
+                node.value = float(node.value)
+            except OverflowError:
+                raise CatalogError(f"literal too large in expression {expr!r}") from None
         if isinstance(node, ast.Name) and node.id not in allowed_names:
             raise CatalogError(f"unknown name {node.id!r} in expression {expr!r}")
 
@@ -105,15 +113,24 @@ def compile_expression(expr: str, args: tuple[str, ...]) -> Callable:
         tree = ast.parse(expr, mode="eval")
     except SyntaxError as exc:
         raise CatalogError(f"cannot parse expression {expr!r}: {exc.msg}") from exc
-    _validate_tree(expr, tree, frozenset(env) | frozenset(args))
-    source = "lambda {}: ({})".format(", ".join(args), expr) if args else f"lambda: ({expr})"
+    _prepare_tree(expr, tree, frozenset(env) | frozenset(args))
+    body = ast.unparse(tree)
+    source = "lambda {}: ({})".format(", ".join(args), body) if args else f"lambda: ({body})"
     return eval(source, {"__builtins__": {}, **env})  # noqa: S307 - input is whitelisted
 
 
 def evaluate_constant_expression(expr: str) -> float:
-    """Evaluate a zero-argument expression such as a domain endpoint."""
-    value = compile_expression(expr, ())()
-    return float(value)
+    """Evaluate a zero-argument expression such as a domain endpoint.
+
+    Arithmetic failures and non-finite or non-real results are CatalogErrors.
+    """
+    try:
+        value = float(compile_expression(expr, ())())
+    except (ArithmeticError, ValueError, TypeError) as exc:
+        raise CatalogError(f"cannot evaluate expression {expr!r}: {exc}") from exc
+    if not math.isfinite(value):
+        raise CatalogError(f"expression {expr!r} is not finite: {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -214,8 +231,6 @@ def _build_probe(record: dict) -> Probe:
         raise CatalogError(f"probe {probe_id!r} has empty domain")
     base = record["base"]
     base_value = evaluate_constant_expression(base)
-    if not math.isfinite(base_value):
-        raise CatalogError(f"probe {probe_id!r} base {base!r} is not finite")
     return Probe(
         id=probe_id,
         chain=record["chain"],

@@ -8,9 +8,10 @@ Exit codes: 0 on success, 1 when a verification or probe check fails
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import dataclasses
 import json
-import math
 import sys
 from typing import Sequence
 
@@ -24,13 +25,9 @@ from .verifier import (
     verify_chain,
 )
 
-_CONFIG_INT_KEYS = ("samples", "refine_depth", "ratio_samples", "threads")
-_CONFIG_FLOAT_KEYS = ("endpoint_eps", "ratio_max", "epsilon")
-_CONFIG_KEYS = _CONFIG_INT_KEYS + _CONFIG_FLOAT_KEYS
-
-
-class _UsageError(Exception):
-    pass
+# Every VerificationConfig field is a config-file key and a --flag, parsed
+# with the type of its default.
+_CONFIG_TYPES = {f.name: type(f.default) for f in dataclasses.fields(VerificationConfig)}
 
 
 def _read_config_file(path: str) -> dict:
@@ -39,36 +36,36 @@ def _read_config_file(path: str) -> dict:
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
     except OSError as exc:
-        raise _UsageError(f"cannot read config file {path!r}: {exc.strerror}") from exc
+        raise IneqForgeError(f"cannot read config file {path!r}: {exc.strerror}") from exc
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise _UsageError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
+            raise IneqForgeError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
         key, _, text = line.partition("=")
         key = key.strip()
         text = text.strip()
-        if key not in _CONFIG_KEYS:
-            raise _UsageError(
-                f"{path}:{lineno}: unknown key {key!r}; known keys: {', '.join(_CONFIG_KEYS)}"
+        if key not in _CONFIG_TYPES:
+            raise IneqForgeError(
+                f"{path}:{lineno}: unknown key {key!r}; known keys: {', '.join(_CONFIG_TYPES)}"
             )
         try:
-            values[key] = int(text) if key in _CONFIG_INT_KEYS else float(text)
+            values[key] = _CONFIG_TYPES[key](text)
         except ValueError:
-            raise _UsageError(f"{path}:{lineno}: cannot parse value {text!r} for {key!r}") from None
+            raise IneqForgeError(f"{path}:{lineno}: cannot parse value {text!r} for {key!r}") from None
     return values
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH", help="key=value file with verifier settings")
-    parser.add_argument("--samples", type=int, help="grid points per interval")
-    parser.add_argument("--refine-depth", type=int, dest="refine_depth")
-    parser.add_argument("--endpoint-eps", type=float, dest="endpoint_eps")
-    parser.add_argument("--ratio-max", type=float, dest="ratio_max")
-    parser.add_argument("--ratio-samples", type=int, dest="ratio_samples")
-    parser.add_argument("--epsilon", type=float, help="probe perturbation size")
-    parser.add_argument("--threads", type=int)
+    for f in dataclasses.fields(VerificationConfig):
+        parser.add_argument(
+            "--" + f.name.replace("_", "-"),
+            type=_CONFIG_TYPES[f.name],
+            dest=f.name,
+            help=f"default {f.default!r}",
+        )
 
 
 def _build_config(args: argparse.Namespace) -> VerificationConfig:
@@ -76,14 +73,14 @@ def _build_config(args: argparse.Namespace) -> VerificationConfig:
     values: dict[str, object] = {}
     if getattr(args, "config", None):
         values.update(_read_config_file(args.config))
-    for key in _CONFIG_KEYS:
+    for key in _CONFIG_TYPES:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
     return VerificationConfig(**values)
 
 
-def _write_json(path: str, payload: dict) -> None:
+def _write_json(path: str, payload: object) -> None:
     text = json.dumps(payload, indent=2, sort_keys=False)
     if path == "-":
         print(text)
@@ -92,7 +89,11 @@ def _write_json(path: str, payload: dict) -> None:
             handle.write(text + "\n")
 
 
-def _cmd_list(args: argparse.Namespace) -> int:
+# Each command prints its human-readable lines and returns its exit code with
+# the payload for --json (None for commands without one).
+
+
+def _cmd_list(args: argparse.Namespace) -> tuple[int, None]:
     cat = load_catalog()
     sections = []
     if args.chains or not (args.chains or args.probes or args.kernels):
@@ -133,10 +134,10 @@ def _cmd_list(args: argparse.Namespace) -> int:
                 f"  {kid:18s} ({kernel.lo:.6g}, {kernel.hi:.6g}) "
                 f"{' '.join(limits)}{extra}"
             )
-    return 0
+    return 0, None
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> tuple[int, dict]:
     cfg = _build_config(args)
     report = verify_chain(args.chain, cfg)
     print(f"chain {report.chain} [{report.kind}]: {report.verdict} ({report.elapsed_s:.2f}s)")
@@ -154,12 +155,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             f"  twin margins: max deviation {report.twin_max_deviation:.3e} "
             f"({'ok' if report.twin_ok else 'DISAGREE'})"
         )
-    if args.json:
-        _write_json(args.json, report.to_dict())
-    return 0 if report.verdict == "verified_numeric" else 1
+    return (0 if report.verdict == "verified_numeric" else 1), report.to_dict()
 
 
-def _cmd_sharpness(args: argparse.Namespace) -> int:
+def _cmd_sharpness(args: argparse.Namespace) -> tuple[int, dict]:
     cfg = _build_config(args)
     report = probe_sharpness(args.probe, cfg)
     print(
@@ -172,40 +171,33 @@ def _cmd_sharpness(args: argparse.Namespace) -> int:
     if report.witness is not None:
         print(f"  witness: {json.dumps(report.witness)}")
     print(f"  verdict: {report.verdict}")
-    if args.json:
-        _write_json(args.json, report.to_dict())
-    return 0 if report.verdict == "falsified" else 1
+    return (0 if report.verdict == "falsified" else 1), report.to_dict()
 
 
-def _cmd_constants(args: argparse.Namespace) -> int:
+def _cmd_constants(args: argparse.Namespace) -> tuple[int, list]:
     p0 = constants.constant_p0()
     p1 = constants.constant_p1()
     beta = constants.constant_beta()
     gamma = constants.constant_gamma()
     # Residual of the defining equation at the computed value; identically
     # zero only for the registry entries, which are plain closed forms.
-    beta_res = beta * math.log(2.0) - (math.log(math.pi) - math.log(2.0) + 1.0)
-    gamma_res = gamma * 2.0 * kernels.ln_cos(math.pi / (2.0 * math.sqrt(3.0))) - (
-        math.log(2.0) - math.log(math.pi) - 1.0)
     rows = [
         ("p0", p0, constants.p0_residual(p0)),
         ("p1", p1, constants.p1_residual(p1)),
-        ("beta", beta, beta_res),
-        ("gamma", gamma, gamma_res),
+        ("beta", beta, constants.beta_residual(beta)),
+        ("gamma", gamma, constants.gamma_residual(gamma)),
     ]
     rows += [(name, value, 0.0) for name, value in constants.constant_registry()]
     for name, value, residual in rows:
         print(f"{name} = {value!r}  (residual {residual:.3e})")
-    if args.json:
-        payload = [
-            {"name": name, "value": value, "residual": residual}
-            for name, value, residual in rows
-        ]
-        _write_json(args.json, payload)
-    return 0
+    payload = [
+        {"name": name, "value": value, "residual": residual}
+        for name, value, residual in rows
+    ]
+    return 0, payload
 
 
-def _cmd_means(args: argparse.Namespace) -> int:
+def _cmd_means(args: argparse.Namespace) -> tuple[int, dict]:
     pair = (args.a, args.b)
     bundle = means.mean_bundle(*pair)
     rows = []
@@ -217,20 +209,18 @@ def _cmd_means(args: argparse.Namespace) -> int:
             rows.append((kind, bundle[kind]))
     for name, value in rows:
         print(f"{name:12s} = {value!r}")
-    if args.json:
-        _write_json(args.json, {name: value for name, value in rows})
-    return 0
+    return 0, dict(rows)
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
+def _cmd_table(args: argparse.Namespace) -> tuple[int, None]:
     kernel = kernels.get_kernel(args.kernel)
     span = kernel.hi - kernel.lo
     start = args.start if args.start is not None else kernel.lo + 1e-9 * span
     stop = args.stop if args.stop is not None else kernel.hi - 1e-9 * span
     if not start < stop:
-        raise _UsageError(f"empty range [{start!r}, {stop!r}]")
+        raise IneqForgeError(f"empty range [{start!r}, {stop!r}]")
     if args.count < 2:
-        raise _UsageError("--count must be at least 2")
+        raise IneqForgeError("--count must be at least 2")
     step = (stop - start) / (args.count - 1)
     out = sys.stdout
     handle = None
@@ -246,10 +236,10 @@ def _cmd_table(args: argparse.Namespace) -> int:
     finally:
         if handle is not None:
             handle.close()
-    return 0
+    return 0, None
 
 
-def _cmd_suite(args: argparse.Namespace) -> int:
+def _cmd_suite(args: argparse.Namespace) -> tuple[int, dict]:
     cfg = _build_config(args)
     report = run_suite(cfg)
     width = max(len(row.name) for row in report.rows)
@@ -261,9 +251,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
         f"{len(report.rows) - len(failed)}/{len(report.rows)} checks passed "
         f"in {report.elapsed_s:.1f}s"
     )
-    if args.json:
-        _write_json(args.json, report.to_dict())
-    return 0 if report.passed else 1
+    return (0 if report.passed else 1), report.to_dict()
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -321,14 +309,18 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    json_path = getattr(args, "json", None)
+    # With '--json -' stdout carries the JSON document and nothing else.
+    text_out = sys.stderr if json_path == "-" else sys.stdout
     try:
-        return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        with contextlib.redirect_stdout(text_out):
+            code, payload = args.func(args)
     except IneqForgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if json_path:
+        _write_json(json_path, payload)
+    return code
 
 
 if __name__ == "__main__":

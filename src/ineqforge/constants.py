@@ -69,7 +69,7 @@ def _endpoint_exponent_residual(target_log: float) -> Callable[[float], float]:
     return residual
 
 
-# Residuals for the two solved exponents, exposed for direct inspection.
+# Residuals of the defining equations, exposed for direct inspection.
 def p1_residual(p: float) -> float:
     """Zero where (cos(p pi/2))^(1/p) equals 1/e."""
     return _endpoint_exponent_residual(-1.0)(p)
@@ -78,6 +78,17 @@ def p1_residual(p: float) -> float:
 def p0_residual(p: float) -> float:
     """Zero where (cos(p pi/2))^(1/p) equals 2/pi."""
     return _endpoint_exponent_residual(math.log(2.0 / math.pi))(p)
+
+
+def beta_residual(beta: float) -> float:
+    """Zero where beta ln 2 equals ln pi - ln 2 + 1."""
+    return beta * math.log(2.0) - (math.log(math.pi) - math.log(2.0) + 1.0)
+
+
+def gamma_residual(gamma: float) -> float:
+    """Zero where 2 gamma ln cos(pi/(2 sqrt 3)) equals ln 2 - ln pi - 1."""
+    return gamma * 2.0 * ln_cos(math.pi / (2.0 * math.sqrt(3.0))) - (
+        math.log(2.0) - math.log(math.pi) - 1.0)
 
 
 @lru_cache(maxsize=None)

@@ -231,9 +231,6 @@ class Kernel:
     hi_asymptotic: bool = False
     probe_points: tuple[float, ...] = field(default=())
 
-    def eval(self, t: float) -> float:
-        return self.fn(t)
-
 
 _SQRT10_5 = math.sqrt(10.0) / 5.0
 _INV_SQRT3 = 1.0 / math.sqrt(3.0)
@@ -306,7 +303,3 @@ def get_kernel(kernel_id: str) -> Kernel:
     except KeyError:
         known = ", ".join(sorted(KERNELS))
         raise DomainError(f"unknown kernel id {kernel_id!r}; known ids: {known}") from None
-
-
-def evaluate(kernel_id: str, t: float) -> float:
-    return get_kernel(kernel_id).eval(t)

@@ -15,13 +15,11 @@ witness (a concrete point with both side values) whenever something fails.
 from __future__ import annotations
 
 import math
-import os
 import random
 import sys
 import time
 from array import array
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Callable, Iterable, Sequence
 
 from . import constants, kernels, series
@@ -49,14 +47,6 @@ _LIMIT_OFFSETS = (1e-3, 1e-5, 1e-7)
 DEFAULT_M6_GRID = (2.0, 1.2, 1.0, 0.5, -1.0)
 
 
-def _default_threads() -> int:
-    raw = os.environ.get("INEQFORGE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 @dataclass(frozen=True)
 class VerificationConfig:
     """Grid sizes and tolerances shared by every check."""
@@ -67,9 +57,12 @@ class VerificationConfig:
     ratio_max: float = 100.0
     ratio_samples: int = 100
     epsilon: float = 1e-3
-    threads: int = field(default_factory=_default_threads)
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise DomainError(f"{f.name} must be finite, got {value!r}")
         if self.samples < 3:
             raise DomainError("samples must be at least 3")
         if self.refine_depth < 0:
@@ -82,8 +75,6 @@ class VerificationConfig:
             raise DomainError("ratio_samples must be at least 2")
         if self.epsilon <= 0.0:
             raise DomainError("epsilon must be positive")
-        if self.threads < 1:
-            raise DomainError("threads must be at least 1")
 
 
 def _linspace(lo: float, hi: float, n: int) -> list[float]:
@@ -98,19 +89,6 @@ def _inset(lo: float, hi: float, eps: float) -> tuple[float, float]:
     return lo + eps * span, hi - eps * span
 
 
-def _eval_many(fn: Callable[[float], float], xs: Sequence[float], threads: int) -> list[float]:
-    if threads <= 1 or len(xs) < 4096:
-        return [fn(x) for x in xs]
-    chunk = (len(xs) + threads - 1) // threads
-    blocks = [xs[i : i + chunk] for i in range(0, len(xs), chunk)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(lambda block: [fn(x) for x in block], blocks))
-    values: list[float] = []
-    for part in parts:
-        values.extend(part)
-    return values
-
-
 # Member values keyed by (expression, domain, grid shape). The same member
 # expression appears in many chains, so this trims most of the grid work.
 _GRID_CACHE: dict[tuple, array] = {}
@@ -120,17 +98,37 @@ def clear_grid_cache() -> None:
     _GRID_CACHE.clear()
 
 
-def _member_grid(expr: str, fn: Callable, key: tuple, grid: Sequence[float], threads: int) -> array:
+def _member_grid(expr: str, fn: Callable, key: tuple, grid: Sequence[float]) -> array:
     cache_key = (expr, key)
     values = _GRID_CACHE.get(cache_key)
     if values is None:
-        values = array("d", _eval_many(fn, grid, threads))
+        values = array("d", [fn(x) for x in grid])
         _GRID_CACHE[cache_key] = values
     return values
 
 
+def _plain(value):
+    """A report value as JSON-ready data: dataclasses become dicts without their
+    None fields, tuples become lists, everything else passes through."""
+    if is_dataclass(value):
+        return {
+            f.name: _plain(getattr(value, f.name))
+            for f in fields(value)
+            if getattr(value, f.name) is not None
+        }
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    return value
+
+
+class _Report:
+    def to_dict(self) -> dict:
+        """Fields in declaration order; optional fields that are None are left out."""
+        return _plain(self)
+
+
 @dataclass
-class LinkReport:
+class LinkReport(_Report):
     """Verdict for one adjacent pair of chain members."""
 
     lhs: str
@@ -140,20 +138,6 @@ class LinkReport:
     argmin: float
     witness: dict | None = None
     note: str | None = None
-
-    def to_dict(self) -> dict:
-        out = {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "verdict": self.verdict,
-            "min_margin": self.min_margin,
-            "argmin": self.argmin,
-        }
-        if self.witness is not None:
-            out["witness"] = self.witness
-        if self.note is not None:
-            out["note"] = self.note
-        return out
 
 
 @dataclass
@@ -189,7 +173,7 @@ class ChainReport:
 
 
 @dataclass
-class ProbeReport:
+class ProbeReport(_Report):
     probe: str
     chain: str
     parameter: float
@@ -200,26 +184,8 @@ class ProbeReport:
     interval: tuple[float, float]
     min_margin: float
     verdict: str
-    witness: dict | None
     elapsed_s: float
-
-    def to_dict(self) -> dict:
-        out = {
-            "probe": self.probe,
-            "chain": self.chain,
-            "parameter": self.parameter,
-            "base_value": self.base_value,
-            "epsilon": self.epsilon,
-            "direction": self.direction,
-            "region": self.region,
-            "interval": list(self.interval),
-            "min_margin": self.min_margin,
-            "verdict": self.verdict,
-            "elapsed_s": self.elapsed_s,
-        }
-        if self.witness is not None:
-            out["witness"] = self.witness
-        return out
+    witness: dict | None
 
 
 def _golden_refine(
@@ -252,55 +218,68 @@ def _golden_refine(
 
 
 def _assess_link(
+    where: str,
     lhs_expr: str,
     rhs_expr: str,
     xs: Sequence[float],
     lhs_vals: Sequence[float],
     rhs_vals: Sequence[float],
-    value_fn: Callable[[float], tuple[float, float]],
+    value_fn: Callable[[float], tuple[float, float]] | None,
     depth: int,
     coord: str,
 ) -> LinkReport:
-    min_margin = math.inf
-    min_idx = 0
-    viol_idx = -1
-    viol_margin = 0.0
-    has_positive = False
-    all_zero = True
-    for i in range(len(xs)):
-        a = lhs_vals[i]
-        b = rhs_vals[i]
-        m = b - a
-        if m != 0.0:
-            all_zero = False
-        if m < min_margin:
-            min_margin = m
-            min_idx = i
-        theta = _TIE_REL * max(1.0, abs(a), abs(b))
-        if m < -theta:
-            if viol_idx < 0 or m < viol_margin:
-                viol_margin = m
-                viol_idx = i
-        elif m > theta:
-            has_positive = True
+    """The margin engine: scan rhs - lhs over the grid under the tie rule.
 
-    # Narrow dips can fall between grid nodes; refine around the grid minimum.
-    rx, ra, rb = xs[min_idx], lhs_vals[min_idx], rhs_vals[min_idx]
-    if depth > 0 and len(xs) > 1:
-        bracket_lo = xs[max(0, min_idx - 1)]
-        bracket_hi = xs[min(len(xs) - 1, min_idx + 1)]
-        if bracket_hi > bracket_lo:
-            x2, a2, b2 = _golden_refine(value_fn, bracket_lo, bracket_hi, depth)
-            if (b2 - a2) < min_margin:
-                rx, ra, rb = x2, a2, b2
-                min_margin = b2 - a2
+    Every check reduces to this: a violation is a margin below -tie, positive
+    evidence a margin above +tie. With depth > 0 the grid minimum is refined
+    by golden-section search through value_fn; with depth 0 value_fn is never
+    called. A member value that cannot be compared (complex, say) or an
+    arithmetic failure while refining is a DomainError naming ``where`` and
+    the link.
+    """
+    try:
+        min_margin = math.inf
+        min_idx = 0
+        viol_idx = -1
+        viol_margin = 0.0
+        has_positive = False
+        all_zero = True
+        for i in range(len(xs)):
+            a = lhs_vals[i]
+            b = rhs_vals[i]
+            m = b - a
+            if m != 0.0:
+                all_zero = False
+            if m < min_margin:
+                min_margin = m
+                min_idx = i
+            theta = _TIE_REL * max(1.0, abs(a), abs(b))
+            if m < -theta:
+                if viol_idx < 0 or m < viol_margin:
+                    viol_margin = m
+                    viol_idx = i
+            elif m > theta:
+                has_positive = True
 
-    candidates = []
-    if viol_idx >= 0:
-        candidates.append((xs[viol_idx], lhs_vals[viol_idx], rhs_vals[viol_idx]))
-    refined_theta = _TIE_REL * max(1.0, abs(ra), abs(rb))
-    if (rb - ra) < -refined_theta:
-        candidates.append((rx, ra, rb))
+        # Narrow dips can fall between grid nodes; refine around the grid minimum.
+        rx, ra, rb = xs[min_idx], lhs_vals[min_idx], rhs_vals[min_idx]
+        if depth > 0 and len(xs) > 1:
+            bracket_lo = xs[max(0, min_idx - 1)]
+            bracket_hi = xs[min(len(xs) - 1, min_idx + 1)]
+            if bracket_hi > bracket_lo:
+                x2, a2, b2 = _golden_refine(value_fn, bracket_lo, bracket_hi, depth)
+                if (b2 - a2) < min_margin:
+                    rx, ra, rb = x2, a2, b2
+                    min_margin = b2 - a2
+
+        candidates = []
+        if viol_idx >= 0:
+            candidates.append((xs[viol_idx], lhs_vals[viol_idx], rhs_vals[viol_idx]))
+        refined_theta = _TIE_REL * max(1.0, abs(ra), abs(rb))
+        if (rb - ra) < -refined_theta:
+            candidates.append((rx, ra, rb))
+    except (ArithmeticError, ValueError, TypeError) as exc:
+        raise DomainError(f"{where}: cannot assess {lhs_expr} < {rhs_expr}: {exc}") from exc
     if candidates:
         wx, wa, wb = min(candidates, key=lambda c: c[2] - c[1])
         witness = {coord: wx, "lhs": wa, "rhs": wb, "margin": wb - wa}
@@ -342,7 +321,7 @@ def _verify_kernel_chain(chain: Chain, config: VerificationConfig) -> list[LinkR
     grid = _linspace(glo, ghi, config.samples)
     key = (lo, hi, config.samples, config.endpoint_eps)
     values = [
-        _member_grid(expr, fn, key, grid, config.threads)
+        _member_grid(expr, fn, key, grid)
         for expr, fn in zip(chain.members, chain.member_fns)
     ]
     links = []
@@ -351,6 +330,7 @@ def _verify_kernel_chain(chain: Chain, config: VerificationConfig) -> list[LinkR
         rf = chain.member_fns[i + 1]
         links.append(
             _assess_link(
+                f"chain {chain.id}",
                 chain.members[i],
                 chain.members[i + 1],
                 grid,
@@ -404,6 +384,7 @@ def _verify_mean_chain(
             return lf(*vec), rf(*vec)
 
         link = _assess_link(
+            f"chain {chain.id}",
             chain.members[i],
             chain.members[i + 1],
             ratios,
@@ -491,6 +472,7 @@ def probe_sharpness(
     lhs_vals = [probe.lhs_fn(parameter, t) for t in grid]
     rhs_vals = [probe.rhs_fn(parameter, t) for t in grid]
     link = _assess_link(
+        f"probe {probe.id}",
         probe.lhs,
         probe.rhs,
         grid,
@@ -539,40 +521,20 @@ def verify_endpoint_limits(kernel_id: str, tol: float | None = None) -> dict:
             errors[i + 1] <= max(errors[i], floor) for i in range(len(errors) - 1)
         )
 
-    if k.limit_lo is not None:
-        errors = [abs(k.fn(k.lo + d) - k.limit_lo) for d in _LIMIT_OFFSETS]
-        side_ok = shrinking(errors, k.limit_lo)
-        if tol is not None:
-            side_ok = side_ok and errors[-1] <= tol
-        sides["lo"] = {
-            "limit": k.limit_lo,
-            "offsets": list(_LIMIT_OFFSETS),
-            "errors": errors,
-            "ok": side_ok,
-        }
-        ok = ok and side_ok
-    if k.limit_hi is not None:
-        if k.hi_asymptotic:
-            points = list(k.probe_points)
-            errors = [abs(k.fn(t) - k.limit_hi) for t in points]
-            side_ok = shrinking(errors, k.limit_hi)
-            sides["hi"] = {
-                "limit": k.limit_hi,
-                "points": points,
-                "errors": errors,
-                "ok": side_ok,
-            }
+    for side, limit in (("lo", k.limit_lo), ("hi", k.limit_hi)):
+        if limit is None:
+            continue
+        if side == "hi" and k.hi_asymptotic:
+            key, approach = "points", list(k.probe_points)
+            ts = approach
         else:
-            errors = [abs(k.fn(k.hi - d) - k.limit_hi) for d in _LIMIT_OFFSETS]
-            side_ok = shrinking(errors, k.limit_hi)
-            if tol is not None:
-                side_ok = side_ok and errors[-1] <= tol
-            sides["hi"] = {
-                "limit": k.limit_hi,
-                "offsets": list(_LIMIT_OFFSETS),
-                "errors": errors,
-                "ok": side_ok,
-            }
+            key, approach = "offsets", list(_LIMIT_OFFSETS)
+            ts = [k.lo + d if side == "lo" else k.hi - d for d in _LIMIT_OFFSETS]
+        errors = [abs(k.fn(t) - limit) for t in ts]
+        side_ok = shrinking(errors, limit)
+        if tol is not None and key == "offsets":
+            side_ok = side_ok and errors[-1] <= tol
+        sides[side] = {"limit": limit, key: approach, "errors": errors, "ok": side_ok}
         ok = ok and side_ok
     return {"kernel": kernel_id, "sides": sides, "verdict": "ok" if ok else "failed"}
 
@@ -586,7 +548,8 @@ def verify_monotone(
 
     Consecutive differences must never point the wrong way beyond the tie
     threshold, the net change must agree, and seeded central differences at
-    random interior points must not contradict the claim.
+    random interior points must not contradict the claim. A wrong-way grid
+    step is reported as the witness: the deepest one, which sits at worst_at.
     """
     k = kernels.get_kernel(kernel_id)
     direction = direction or k.monotone
@@ -597,28 +560,41 @@ def verify_monotone(
     cfg = config or VerificationConfig()
     glo, ghi = _inset(k.lo, k.hi, cfg.endpoint_eps)
     grid = _linspace(glo, ghi, cfg.samples)
-    values = _eval_many(k.fn, grid, cfg.threads)
+    values = [k.fn(x) for x in grid]
     sign = 1.0 if direction == "increasing" else -1.0
 
+    # Step i is a link from values[i] to values[i + 1]: for an increasing
+    # kernel the later value is the larger side, for a decreasing one the
+    # earlier. Coordinates are step indices, so no refinement is possible.
+    sides = [("f(t_i)", values[:-1]), ("f(t_i+1)", values[1:])]
+    if direction == "decreasing":
+        sides.reverse()
+    (lhs_name, lhs_vals), (rhs_name, rhs_vals) = sides
+    link = _assess_link(
+        f"kernel {kernel_id}",
+        lhs_name,
+        rhs_name,
+        range(len(grid) - 1),
+        lhs_vals,
+        rhs_vals,
+        None,
+        0,
+        "step",
+    )
+    j = link.argmin
+    # Recomputed rather than taken from min_margin: a flat step of a
+    # decreasing kernel is -0.0 here, and the report keeps that sign.
+    worst_step = sign * (values[j + 1] - values[j])
+    worst_at = grid[j]
     witness = None
-    worst_step = math.inf
-    worst_at = grid[0]
-    has_positive = False
-    for i in range(len(grid) - 1):
-        step = sign * (values[i + 1] - values[i])
-        if step < worst_step:
-            worst_step = step
-            worst_at = grid[i]
-        theta = _TIE_REL * max(1.0, abs(values[i]), abs(values[i + 1]))
-        if step < -theta and witness is None:
-            witness = {
-                "t": grid[i],
-                "t_next": grid[i + 1],
-                "value": values[i],
-                "value_next": values[i + 1],
-            }
-        elif step > theta:
-            has_positive = True
+    if link.witness is not None:
+        i = link.witness["step"]
+        witness = {
+            "t": grid[i],
+            "t_next": grid[i + 1],
+            "value": values[i],
+            "value_next": values[i + 1],
+        }
 
     net_change = sign * (values[-1] - values[0])
     rng = random.Random(20260816)
@@ -639,7 +615,7 @@ def verify_monotone(
 
     if witness is not None or net_change < 0.0 or not spots_ok:
         verdict = "falsified"
-    elif not has_positive:
+    elif link.verdict != "verified_numeric":
         verdict = "inconclusive"
     else:
         verdict = "verified_numeric"
@@ -691,33 +667,18 @@ def theorem_m6_iff_suite(
     return {"passed": passed, "cases": cases}
 
 
-def register_builtin_chains(catalog: Catalog | None = None) -> list[str]:
-    """Ids of every packaged chain, in catalog order."""
-    return (catalog or load_catalog()).chain_ids()
-
-
 @dataclass
-class SuiteRow:
+class SuiteRow(_Report):
     name: str
     passed: bool
     detail: str
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
-
 
 @dataclass
-class SuiteReport:
-    rows: list[SuiteRow]
+class SuiteReport(_Report):
     passed: bool
     elapsed_s: float
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "elapsed_s": self.elapsed_s,
-            "rows": [row.to_dict() for row in self.rows],
-        }
+    rows: list[SuiteRow]
 
 
 _SERIES_DIRECT = (
@@ -825,4 +786,4 @@ def run_suite(
         )
 
     elapsed = time.perf_counter() - start
-    return SuiteReport(rows, all(row.passed for row in rows), elapsed)
+    return SuiteReport(all(row.passed for row in rows), elapsed, rows)

@@ -83,6 +83,10 @@ def test_evaluate_constant_expression():
     assert C.evaluate_constant_expression("1-exp(-1.2)") == 1.0 - math.exp(-1.2)
     with pytest.raises(CatalogError):
         C.evaluate_constant_expression("t + 1")  # no free variables allowed
+    # arithmetic failures are catalog errors, not bare Python exceptions
+    for bad in ("2**2000", "1/0", "log(0)"):
+        with pytest.raises(CatalogError):
+            C.evaluate_constant_expression(bad)
 
 
 # --- parametric chain family ----------------------------------------------------

@@ -60,7 +60,8 @@ def test_verify_unknown_chain_exits_two(capsys):
 def test_verify_json_to_stdout_parses(capsys):
     code, out, err = run(capsys, "verify", "M23c", "--json", "-", *FAST)
     assert code == 0
-    payload = json.loads(out[out.index("{"):])
+    payload = json.loads(out)  # stdout carries the JSON document and nothing else
+    assert "chain M23c [kernel]: verified_numeric" in err
     assert payload["chain"] == "M23c"
     assert payload["verdict"] == "verified_numeric"
     assert len(payload["links"]) >= 1
@@ -87,6 +88,30 @@ def test_sharpness_unknown_probe_exits_two(capsys):
     code, out, err = run(capsys, "sharpness", "nope", *FAST)
     assert code == 2
     assert "error:" in err
+
+
+def test_sharpness_non_real_member_value_exits_two(capsys):
+    # epsilon 2 pushes cos(p t) negative, so the member value turns complex
+    code, out, err = run(capsys, "sharpness", "M1-upper", "--epsilon", "2", "--samples", "101")
+    assert code == 2
+    assert "error:" in err and "M1-upper" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sharpness", "M1-lower", *FAST],
+        ["constants"],
+        ["means", "--a", "1", "--b", "3"],
+        ["suite", *FAST],
+    ],
+    ids=["sharpness", "constants", "means", "suite"],
+)
+def test_json_dash_puts_only_json_on_stdout(capsys, argv):
+    code, out, err = run(capsys, *argv, "--json", "-")
+    assert code == 0
+    json.loads(out)
+    assert err.strip()  # the human-readable lines moved to stderr
 
 
 def test_sharpness_json(capsys, tmp_path):

@@ -107,7 +107,7 @@ def test_registry_frozen_limits():
 
 def test_get_kernel_and_eval():
     k = K.get_kernel("sinc")
-    assert k.eval(0.7) == K.sinc(0.7)
+    assert k.fn(0.7) == K.sinc(0.7)
     with pytest.raises(DomainError) as err:
         K.get_kernel("nope")
     assert "sinc" in str(err.value)  # the error lists the known ids
@@ -116,7 +116,7 @@ def test_get_kernel_and_eval():
 def test_endpoint_consistency_at_lo():
     # every kernel must sit within 1e-7 of its stored lo limit at lo + 1e-8
     for kid, k in K.KERNELS.items():
-        got = k.eval(k.lo + 1e-8)
+        got = k.fn(k.lo + 1e-8)
         assert abs(got - k.limit_lo) < 1e-7, kid
 
 

@@ -31,7 +31,6 @@ def test_config_defaults():
     assert cfg.ratio_max == 100.0
     assert cfg.ratio_samples == 100
     assert cfg.epsilon == 1e-3
-    assert cfg.threads >= 1
 
 
 @pytest.mark.parametrize(
@@ -45,19 +44,14 @@ def test_config_defaults():
         {"ratio_max": 1.0},
         {"ratio_samples": 0},
         {"epsilon": 0.0},
-        {"threads": 0},
+        {"epsilon": math.nan},
+        {"epsilon": math.inf},
+        {"ratio_max": math.inf},
     ],
 )
 def test_config_validation(kwargs):
     with pytest.raises(DomainError):
         VerificationConfig(**kwargs)
-
-
-def test_threads_env_default(monkeypatch):
-    monkeypatch.setenv("INEQFORGE_THREADS", "7")
-    assert VerificationConfig().threads == 7
-    monkeypatch.setenv("INEQFORGE_THREADS", "junk")
-    assert VerificationConfig().threads == 1  # unparsable falls back to serial
 
 
 # --- kernel chains -------------------------------------------------------------------
@@ -217,6 +211,8 @@ def test_monotone_wrong_direction_is_falsified():
     report = V.verify_monotone("sinc", direction="increasing", config=SMALL)
     assert report["verdict"] == "falsified"
     assert report["witness"] is not None or report["net_change"] < 0.0
+    # the witness is the deepest wrong-way step, which is where worst_step sits
+    assert report["witness"]["t"] == report["worst_at"]
 
 
 def test_monotone_requires_a_direction():
@@ -234,12 +230,6 @@ def test_theorem_m6_iff_suite_small():
         assert case["ok"] is True
         assert case["chain"]["verdict"] == "verified_numeric"
         assert all(pr["verdict"] == "falsified" for pr in case["probes"])
-
-
-def test_register_builtin_chains_lists_all(cat):
-    ids = V.register_builtin_chains(cat)
-    assert len(ids) == 55
-    assert ids == cat.chain_ids()
 
 
 def test_run_suite_small_passes(cat):
@@ -272,3 +262,44 @@ def test_grid_cache_reuse_is_consistent(cat):
     second = V.verify_chain("M1", SMALL, cat)  # cache hit path
     assert first.links[0].min_margin == second.links[0].min_margin
     assert first.links[0].argmin == second.links[0].argmin
+
+
+# --- report schemas ---------------------------------------------------------------------
+
+def test_report_key_sets_are_stable(cat):
+    kernel = V.verify_chain("M1", SMALL, cat).to_dict()
+    assert set(kernel) == {"chain", "kind", "verdict", "config", "elapsed_s", "links"}
+    assert kernel["config"] == {"samples": SMALL.samples}
+    assert set(kernel["links"][0]) == {"lhs", "rhs", "verdict", "min_margin", "argmin"}
+
+    mean = V.verify_chain("M1c-i1", SMALL, cat).to_dict()
+    assert set(mean) == {"chain", "kind", "verdict", "config", "elapsed_s", "links", "twin"}
+    assert set(mean["twin"]) == {"max_deviation", "tolerance_rel", "ok"}
+
+    flipped = V.verify_chain("M1", SMALL, C.flipped_catalog(cat, "M1", 0)).to_dict()
+    bad = next(link for link in flipped["links"] if link["verdict"] == "falsified")
+    assert set(bad) == {"lhs", "rhs", "verdict", "min_margin", "argmin", "witness"}
+    assert set(bad["witness"]) == {"t", "lhs", "rhs", "margin"}
+
+    probe = V.probe_sharpness("M1-lower", SMALL, cat).to_dict()
+    assert set(probe) == {
+        "probe", "chain", "parameter", "base_value", "epsilon", "direction", "region",
+        "interval", "min_margin", "verdict", "elapsed_s", "witness",
+    }
+    assert isinstance(probe["interval"], list)
+
+    suite = V.SuiteReport(
+        rows=[V.SuiteRow(name="x", passed=True, detail="d")], passed=True, elapsed_s=0.0
+    ).to_dict()
+    assert set(suite) == {"passed", "elapsed_s", "rows"}
+    assert suite["rows"] == [{"name": "x", "passed": True, "detail": "d"}]
+
+    monotone_keys = {
+        "kernel", "direction", "verdict", "worst_step", "worst_at", "net_change",
+        "spot_checks_ok",
+    }
+    assert set(V.verify_monotone("sinc", config=SMALL)) == monotone_keys
+    wrong = V.verify_monotone("sinc", direction="increasing", config=SMALL)
+    assert set(wrong) == monotone_keys | {"witness", "spot_witness"}
+    assert set(wrong["witness"]) == {"t", "t_next", "value", "value_next"}
+    assert set(wrong["spot_witness"]) == {"t", "value_left", "value_right"}
