@@ -44,21 +44,13 @@ _ALLOWED_NODES = (
 )
 
 
-def _wpm(r: float, w: float, x: float, y: float) -> float:
-    return means.weighted_power_mean(r, w, x, y)
-
-
 @lru_cache(maxsize=1)
 def _shared_env() -> Mapping[str, object]:
     registry = dict(constants.constant_registry())
+    # Every callable takes a float or a numpy array, so a compiled member
+    # evaluates a block of grid points in one call.
     env = {
-        "sin": math.sin,
-        "cos": math.cos,
-        "tan": math.tan,
-        "cosh": math.cosh,
-        "exp": math.exp,
-        "log": math.log,
-        "sqrt": math.sqrt,
+        **kernels.ELEMENTARY,
         "pi": math.pi,
         "e": math.e,
         "sinc": kernels.sinc,
@@ -67,7 +59,7 @@ def _shared_env() -> Mapping[str, object]:
         "sinhc": kernels.sinhc,
         "exp_tcoth": kernels.exp_tcoth,
         "cosh_power": kernels.cosh_power,
-        "wpm": _wpm,
+        "wpm": means.weighted_power_mean,
         "p0": constants.constant_p0(),
         "p1": constants.constant_p1(),
         "beta": constants.constant_beta(),

@@ -9,7 +9,11 @@ L and I are assembled from atanh((x-y)/(x+y)) so that nearly equal
 arguments lose no precision; the same even ratio powers both, so the two
 stay mutually consistent to the last bit. All means return x exactly when
 x == y, and switch to quadratic small-ratio forms when |x-y|/(x+y) drops
-below 1e-7.
+below 1e-7. A and G are built from halves and square roots, so no pair of
+finite doubles overflows them.
+
+mean_bundle and weighted_power_mean also take numpy arrays (either
+argument, or both) and evaluate them elementwise, as the kernels do.
 """
 
 from __future__ import annotations
@@ -18,93 +22,142 @@ import math
 
 from . import kernels
 from .errors import DomainError
+from .kernels import _all, _any, _np, _piecewise, _xp
 
 MEAN_KINDS = ("A", "G", "Q", "L", "I", "power", "P", "T", "X", "B", "J", "K")
 
 # canonical order shown by the CLI for the parametric kind
 POWER_DISPLAY_R = 2.0 / 3.0
 
+_BUNDLE_KINDS = ("A", "G", "Q", "L", "I", "P", "T", "X", "B", "J", "K")
+
 _SQRT2 = math.sqrt(2.0)
 _NEAR_DEGENERATE = 1e-7
 
 
-def _validate_pair(pair) -> tuple[float, float]:
+def _real(value):
+    """A float, or a float array when value is an array."""
+    if getattr(value, "ndim", 0):
+        return _np().asarray(value, dtype=float)
+    return float(value)
+
+
+def _validate_pair(pair):
     try:
         x, y = pair
     except (TypeError, ValueError):
         raise DomainError(f"pair must be a 2-sequence, got {pair!r}") from None
-    x = float(x)
-    y = float(y)
-    if not (math.isfinite(x) and math.isfinite(y) and x > 0.0 and y > 0.0):
+    x = _real(x)
+    y = _real(y)
+    ok = _xp(x).isfinite(x) & _xp(y).isfinite(y) & (x > 0.0) & (y > 0.0)
+    if not _all(ok):
         raise DomainError(f"pair entries must be positive finite, got ({x!r}, {y!r})")
     return x, y
 
 
-def _atanh_over_u_minus1(u: float) -> float:
+def _where(cond, if_true, if_false):
+    if isinstance(cond, bool):
+        return if_true if cond else if_false
+    return _np().where(cond, if_true, if_false)
+
+
+def _atanh_over_u_minus1(u):
     """atanh(u)/u - 1 for |u| < 1, series below 0.2 to keep it fully relative."""
-    if abs(u) < 0.2:
-        u2 = u * u
-        power = u2
-        acc = 0.0
-        n = 1
-        while True:
-            term = power / (2 * n + 1)
-            acc += term
-            if term < 1e-17 * acc:
-                return acc
-            power *= u2
-            n += 1
-    return math.atanh(u) / u - 1.0
+    return _piecewise(abs(u) < 0.2, _atanh_series, _atanh_direct, u)
 
 
-def mean_bundle(x: float, y: float) -> dict[str, float]:
+def _atanh_direct(u):
+    return _xp(u).atanh(u) / u - 1.0
+
+
+def _atanh_series(u):
+    """sum u^(2n)/(2n+1); a point stops at relative 1e-17 or on a zero term
+    (u^2 can underflow), and its later terms are multiplied by False."""
+    u2 = u * u
+    power = u2
+    acc = 0.0
+    live = True
+    n = 1
+    while _any(live):
+        term = power / (2 * n + 1)
+        acc = acc + term * live
+        live = live & (term != 0.0) & (term >= 1e-17 * acc)
+        power = power * u2
+        n += 1
+    return acc
+
+
+def _arc_means(a, g, q, u):
+    """P, T, X, J, B, K from A, G, Q and u = (x-y)/(x+y)."""
+    m = _xp(u)
+    p = a * u / m.asin(u)
+    t = a * u / m.atan(u)
+    return (
+        p,
+        t,
+        a * m.exp(g / p - 1.0),
+        a * m.exp((a + g) / p - 2.0),
+        q * m.exp(a / t - 1.0),
+        q * m.exp((q + a) / t - 2.0),
+    )
+
+
+def _arc_means_near_diagonal(a, g, q, u):
+    """The same six means from their quadratic forms in u, for |u| < 1e-7."""
+    m = _xp(u)
+    u2 = u * u
+    return (
+        a / (1.0 + u2 / 6.0),
+        a / (1.0 - u2 / 3.0),
+        a * m.exp(-u2 / 3.0),
+        a * m.exp(-u2 / 6.0),
+        q * m.exp(-u2 / 3.0),
+        q * m.exp(-u2 / 6.0),
+    )
+
+
+def mean_bundle(x, y) -> dict:
     """All eleven non-parametric means of (x, y) computed in one pass."""
     x, y = _validate_pair((x, y))
-    if x == y:
-        return {k: x for k in ("A", "G", "Q", "L", "I", "P", "T", "X", "B", "J", "K")}
-    a = 0.5 * (x + y)
-    g = math.sqrt(x * y)
-    q = math.hypot(x, y) / _SQRT2
-    u = (x - y) / (x + y)
+    m = _xp(x, y)
+    a = 0.5 * x + 0.5 * y
+    g = m.sqrt(x) * m.sqrt(y)
+    q = m.hypot(x, y) / _SQRT2
+    u = (0.5 * x - 0.5 * y) / a
     h = _atanh_over_u_minus1(u)
     lm = a / (1.0 + h)
-    im = g * math.exp(h)
-    if abs(u) < _NEAR_DEGENERATE:
-        u2 = u * u
-        p = a / (1.0 + u2 / 6.0)
-        t = a / (1.0 - u2 / 3.0)
-        xm = a * math.exp(-u2 / 3.0)
-        jm = a * math.exp(-u2 / 6.0)
-        bm = q * math.exp(-u2 / 3.0)
-        km = q * math.exp(-u2 / 6.0)
-    else:
-        p = a * u / math.asin(u)
-        t = a * u / math.atan(u)
-        xm = a * math.exp(g / p - 1.0)
-        jm = a * math.exp((a + g) / p - 2.0)
-        bm = q * math.exp(a / t - 1.0)
-        km = q * math.exp((q + a) / t - 2.0)
-    return {"A": a, "G": g, "Q": q, "L": lm, "I": im,
-            "P": p, "T": t, "X": xm, "B": bm, "J": jm, "K": km}
+    im = g * m.exp(h)
+    p, t, xm, jm, bm, km = _piecewise(
+        abs(u) < _NEAR_DEGENERATE, _arc_means_near_diagonal, _arc_means, a, g, q, u
+    )
+    values = (a, g, q, lm, im, p, t, xm, bm, jm, km)
+    equal = x == y
+    if _any(equal):
+        values = [_where(equal, x, v) for v in values]
+    return dict(zip(_BUNDLE_KINDS, values))
 
 
-def weighted_power_mean(r: float, w: float, x: float, y: float) -> float:
+def weighted_power_mean(r: float, w: float, x, y):
     """(w x^r + (1-w) y^r)^(1/r), with the geometric limit at r = 0."""
     if not (0.0 < w < 1.0):
         raise DomainError(f"weight must lie strictly in (0, 1), got {w!r}")
     x, y = _validate_pair((x, y))
-    if x == y:
+    equal = x == y
+    if _all(equal):
         return x
+    m = _xp(x, y)
     if r == 0.0:
-        return math.exp(w * math.log(x) + (1.0 - w) * math.log(y))
-    if abs(r) < 1e-8:
+        value = m.exp(w * m.log(x) + (1.0 - w) * m.log(y))
+    elif abs(r) < 1e-8:
         # second-order expansion in r around the geometric limit
-        lx = math.log(x)
-        ly = math.log(y)
-        m = w * lx + (1.0 - w) * ly
+        lx = m.log(x)
+        ly = m.log(y)
+        mu = w * lx + (1.0 - w) * ly
         qq = w * lx * lx + (1.0 - w) * ly * ly
-        return math.exp(m + 0.5 * r * (qq - m * m))
-    return (w * x ** r + (1.0 - w) * y ** r) ** (1.0 / r)
+        value = m.exp(mu + 0.5 * r * (qq - mu * mu))
+    else:
+        value = (w * x ** r + (1.0 - w) * y ** r) ** (1.0 / r)
+    return _where(equal, x, value)
 
 
 def evaluate_mean(kind: str, pair, r: float | None = None) -> float:
@@ -120,9 +173,9 @@ def evaluate_mean(kind: str, pair, r: float | None = None) -> float:
     if x == y:
         return x
     if kind == "A":
-        return 0.5 * (x + y)
+        return 0.5 * x + 0.5 * y
     if kind == "G":
-        return math.sqrt(x * y)
+        return math.sqrt(x) * math.sqrt(y)
     if kind == "Q":
         return math.hypot(x, y) / _SQRT2
     return mean_bundle(x, y)[kind]

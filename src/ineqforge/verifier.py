@@ -8,6 +8,11 @@ nonnegative up to a relative tie threshold and at least one margin is
 clearly positive; ties never count as evidence, so a chain of identical
 members cannot pass.
 
+Grids are numpy arrays, generated, evaluated and scanned in blocks of 4096
+points: one member call and a few array operations per block, and no
+grid-sized array per member. Golden-section refinement and every reported
+value stay plain floats.
+
 All verdicts are numeric evidence, not proof. Reports carry a reproducible
 witness (a concrete point with both side values) whenever something fails.
 """
@@ -18,7 +23,6 @@ import math
 import random
 import sys
 import time
-from array import array
 from dataclasses import dataclass, fields, is_dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -33,12 +37,22 @@ from .catalog import (
     make_m6_chain,
 )
 from .errors import DomainError
+from .kernels import _np
 from .means import mean_bundle
 
 # Margins within _TIE_REL * max(1, |lhs|, |rhs|) of zero are ties: neither a
 # violation nor positive evidence. The scale floor keeps the threshold from
 # collapsing when both sides are tiny.
 _TIE_REL = 1e-13
+# Grid margins from numpy sit within 0.07 tie thresholds of the float ones on
+# the packaged catalog; grid points within 0.15 of a violating minimum are
+# evaluated again as floats, at most 64 of them.
+_FLOAT_SLACK = 0.15
+_FLOAT_RECHECK_MAX = 64
+# Grids are generated, evaluated and scanned in blocks of this many points,
+# so a check holds 32 KB arrays where whole 20001-point grids would take
+# 160 KB per member and intermediate: about 1 MB less peak memory.
+_BLOCK = 4096
 _TWIN_REL = 1e-10
 _SPOT_REL = 1e-9
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -77,34 +91,61 @@ class VerificationConfig:
             raise DomainError("epsilon must be positive")
 
 
-def _linspace(lo: float, hi: float, n: int) -> list[float]:
-    step = (hi - lo) / (n - 1)
-    xs = [lo + i * step for i in range(n)]
-    xs[-1] = hi  # lo + (n-1)*step can round past hi
-    return xs
-
-
 def _inset(lo: float, hi: float, eps: float) -> tuple[float, float]:
     span = hi - lo
     return lo + eps * span, hi - eps * span
 
 
-# Member values keyed by (expression, domain, grid shape). The same member
-# expression appears in many chains, so this trims most of the grid work.
-_GRID_CACHE: dict[tuple, array] = {}
+class _Grid:
+    """n points origin + (i + shift) * step, generated a block at a time.
+
+    With ``end`` set the last point is exactly ``end``: the formula can round
+    past it.
+    """
+
+    def __init__(self, origin: float, step: float, n: int, shift: int = 0, end: float | None = None):
+        self.origin = origin
+        self.step = step
+        self.n = n
+        self.shift = shift
+        self.end = end
+
+    @classmethod
+    def between(cls, lo: float, hi: float, n: int) -> "_Grid":
+        return cls(lo, (hi - lo) / (n - 1), n, end=hi)
+
+    def x(self, i: int) -> float:
+        if i == self.n - 1 and self.end is not None:
+            return self.end
+        return self.origin + (i + self.shift) * self.step
+
+    def blocks(self):
+        """The points as arrays of at most _BLOCK, in order."""
+        np = _np()
+        for start in range(0, self.n, _BLOCK):
+            stop = min(start + _BLOCK, self.n)
+            xs = np.arange(start + self.shift, stop + self.shift, dtype=float)
+            xs *= self.step
+            xs += self.origin
+            if stop == self.n and self.end is not None:
+                xs[-1] = self.end
+            yield xs
 
 
-def clear_grid_cache() -> None:
-    _GRID_CACHE.clear()
+def _on_block(fn: Callable, *args):
+    """fn on one block of grid points (the array arguments): a float array.
 
-
-def _member_grid(expr: str, fn: Callable, key: tuple, grid: Sequence[float]) -> array:
-    cache_key = (expr, key)
-    values = _GRID_CACHE.get(cache_key)
-    if values is None:
-        values = array("d", [fn(x) for x in grid])
-        _GRID_CACHE[cache_key] = values
-    return values
+    A constant member's float fills the block and a value that is not real
+    becomes nan. numpy's floating-point warnings are silenced: _LinkScan
+    reports every non-finite value as a DomainError naming the link.
+    """
+    np = _np()
+    n = max(len(a) for a in args if isinstance(a, np.ndarray))
+    with np.errstate(all="ignore"):
+        values = fn(*args)
+    if np.iscomplexobj(values):
+        return np.full(n, np.nan)
+    return np.broadcast_to(np.asarray(values, dtype=float), (n,))
 
 
 def _plain(value):
@@ -217,92 +258,169 @@ def _golden_refine(
     return x, va, vb
 
 
+def _violates(lhs: float, rhs: float) -> bool:
+    return rhs - lhs < -_TIE_REL * max(1.0, abs(lhs), abs(rhs))
+
+
+class _LinkScan:
+    """The margin engine: one link's margins rhs - lhs, fed a block at a time.
+
+    Every check reduces to this: a violation is a margin below -tie, positive
+    evidence a margin above +tie. The scan keeps the first smallest margin and
+    the first deepest violation with their side values, whether any margin is
+    positive or nonzero, and the points within _FLOAT_SLACK tie thresholds of
+    the running minimum. A member value that is not real and finite, or an
+    arithmetic failure while refining, is a DomainError naming ``where`` and
+    the link. ``x_at`` maps a point's index to its coordinate.
+    """
+
+    def __init__(self, where: str, lhs_expr: str, rhs_expr: str, coord: str, x_at: Callable):
+        self.where = where
+        self.lhs_expr = lhs_expr
+        self.rhs_expr = rhs_expr
+        self.coord = coord
+        self.x_at = x_at
+        self.n = 0
+        self.min_idx = self.viol_idx = -1
+        self.min_margin = self.viol_margin = 0.0
+        self.min_sides = self.viol_sides = (0.0, 0.0)
+        self.min_violates = self.has_positive = False
+        self.all_zero = True
+        self.near = None
+
+    def _error(self, detail) -> DomainError:
+        return DomainError(
+            f"{self.where}: cannot assess {self.lhs_expr} < {self.rhs_expr}: {detail}"
+        )
+
+    def add(self, a, b) -> None:
+        """Scan the next block of side values."""
+        np = _np()
+        start = self.n
+        self.n += len(a)
+        theta = np.maximum(np.abs(a), np.abs(b))
+        np.maximum(theta, 1.0, out=theta)
+        theta *= _TIE_REL
+        finite = np.isfinite(theta)
+        if not finite.all():
+            x = self.x_at(start + int(np.argmin(finite)))
+            raise self._error(f"member value is not a finite real at {self.coord}={x!r}")
+        m = b - a
+        j = int(np.argmin(m))
+        if self.min_idx < 0 or m[j] < self.min_margin:
+            self.min_idx, self.min_margin = start + j, m[j].item()
+            self.min_sides = (a[j].item(), b[j].item())
+            self.min_violates = bool(m[j] < -theta[j])
+        self.has_positive = self.has_positive or bool((m > theta).any())
+        self.all_zero = self.all_zero and not m.any()
+        violating = np.flatnonzero(m < -theta)
+        if len(violating):
+            j = int(violating[np.argmin(m[violating])])
+            if self.viol_idx < 0 or m[j] < self.viol_margin:
+                self.viol_idx, self.viol_margin = start + j, m[j].item()
+                self.viol_sides = (a[j].item(), b[j].item())
+        # A point left out here is above the running minimum by more than
+        # its slack, so it stays out of reach of every later minimum.
+        near = np.flatnonzero(m <= self.min_margin + _FLOAT_SLACK * theta)
+        parts = [(start + near, m[near], theta[near])]
+        if self.near is not None:
+            parts.insert(0, self.near)
+        idx, margins, thetas = (np.concatenate(p) for p in zip(*parts))
+        keep = margins <= self.min_margin + _FLOAT_SLACK * thetas
+        self.near = (idx[keep], margins[keep], thetas[keep])
+
+    def report(
+        self, value_fn: Callable[[float], tuple[float, float]] | None, depth: int
+    ) -> LinkReport:
+        """The link's verdict; with depth > 0 the grid minimum is refined by
+        golden-section search through value_fn, which depth 0 never calls."""
+        x_at = self.x_at
+        min_idx, viol_idx = self.min_idx, self.viol_idx
+        try:
+            ra, rb = self.min_sides
+            if depth > 0 and self.min_violates:
+                # numpy and math can differ in the last bits, enough to move
+                # the first minimum inside a flat valley and the refinement
+                # bracket with it. The points near a violating minimum are
+                # evaluated again as floats, and the first float minimum is
+                # refined, as a float-only scan would have chosen.
+                near = self.near[0].tolist()
+                if len(near) > _FLOAT_RECHECK_MAX:
+                    near = [min_idx]
+                sides = [value_fn(x_at(i)) for i in near]
+                k = min(range(len(near)), key=lambda k: sides[k][1] - sides[k][0])
+                min_idx = near[k]
+                ra, rb = sides[k]
+                if _violates(ra, rb):
+                    viol_idx = min_idx
+            grid_min = (x_at(min_idx), ra, rb)
+            rx = grid_min[0]
+            min_margin = rb - ra
+
+            # Narrow dips can fall between grid nodes; refine around the grid minimum.
+            if depth > 0 and self.n > 1:
+                bracket_lo = x_at(max(0, min_idx - 1))
+                bracket_hi = x_at(min(self.n - 1, min_idx + 1))
+                if bracket_hi > bracket_lo:
+                    x2, a2, b2 = _golden_refine(value_fn, bracket_lo, bracket_hi, depth)
+                    if (b2 - a2) < min_margin:
+                        rx, ra, rb = x2, a2, b2
+                        min_margin = b2 - a2
+
+            candidates = []
+            if viol_idx == min_idx:
+                candidates.append(grid_min)
+            elif viol_idx >= 0:
+                candidates.append((x_at(viol_idx), *self.viol_sides))
+            if _violates(ra, rb):
+                candidates.append((rx, ra, rb))
+        except (ArithmeticError, ValueError, TypeError) as exc:
+            raise self._error(exc) from exc
+        lhs_expr, rhs_expr = self.lhs_expr, self.rhs_expr
+        if candidates:
+            wx, wa, wb = min(candidates, key=lambda c: c[2] - c[1])
+            witness = {self.coord: wx, "lhs": wa, "rhs": wb, "margin": wb - wa}
+            return LinkReport(lhs_expr, rhs_expr, "falsified", min_margin, rx, witness)
+        if self.all_zero:
+            return LinkReport(
+                lhs_expr,
+                rhs_expr,
+                "falsified",
+                0.0,
+                x_at(0),
+                note="degenerate: both sides are numerically identical across the grid",
+            )
+        if not self.has_positive:
+            return LinkReport(
+                lhs_expr,
+                rhs_expr,
+                "inconclusive",
+                min_margin,
+                rx,
+                note="every margin sits inside the tie threshold",
+            )
+        return LinkReport(lhs_expr, rhs_expr, "verified_numeric", min_margin, rx)
+
+
 def _assess_link(
     where: str,
     lhs_expr: str,
     rhs_expr: str,
-    xs: Sequence[float],
-    lhs_vals: Sequence[float],
-    rhs_vals: Sequence[float],
+    x_at: Callable[[int], float],
+    lhs_vals,
+    rhs_vals,
     value_fn: Callable[[float], tuple[float, float]] | None,
     depth: int,
     coord: str,
 ) -> LinkReport:
-    """The margin engine: scan rhs - lhs over the grid under the tie rule.
-
-    Every check reduces to this: a violation is a margin below -tie, positive
-    evidence a margin above +tie. With depth > 0 the grid minimum is refined
-    by golden-section search through value_fn; with depth 0 value_fn is never
-    called. A member value that cannot be compared (complex, say) or an
-    arithmetic failure while refining is a DomainError naming ``where`` and
-    the link.
-    """
-    try:
-        min_margin = math.inf
-        min_idx = 0
-        viol_idx = -1
-        viol_margin = 0.0
-        has_positive = False
-        all_zero = True
-        for i in range(len(xs)):
-            a = lhs_vals[i]
-            b = rhs_vals[i]
-            m = b - a
-            if m != 0.0:
-                all_zero = False
-            if m < min_margin:
-                min_margin = m
-                min_idx = i
-            theta = _TIE_REL * max(1.0, abs(a), abs(b))
-            if m < -theta:
-                if viol_idx < 0 or m < viol_margin:
-                    viol_margin = m
-                    viol_idx = i
-            elif m > theta:
-                has_positive = True
-
-        # Narrow dips can fall between grid nodes; refine around the grid minimum.
-        rx, ra, rb = xs[min_idx], lhs_vals[min_idx], rhs_vals[min_idx]
-        if depth > 0 and len(xs) > 1:
-            bracket_lo = xs[max(0, min_idx - 1)]
-            bracket_hi = xs[min(len(xs) - 1, min_idx + 1)]
-            if bracket_hi > bracket_lo:
-                x2, a2, b2 = _golden_refine(value_fn, bracket_lo, bracket_hi, depth)
-                if (b2 - a2) < min_margin:
-                    rx, ra, rb = x2, a2, b2
-                    min_margin = b2 - a2
-
-        candidates = []
-        if viol_idx >= 0:
-            candidates.append((xs[viol_idx], lhs_vals[viol_idx], rhs_vals[viol_idx]))
-        refined_theta = _TIE_REL * max(1.0, abs(ra), abs(rb))
-        if (rb - ra) < -refined_theta:
-            candidates.append((rx, ra, rb))
-    except (ArithmeticError, ValueError, TypeError) as exc:
-        raise DomainError(f"{where}: cannot assess {lhs_expr} < {rhs_expr}: {exc}") from exc
-    if candidates:
-        wx, wa, wb = min(candidates, key=lambda c: c[2] - c[1])
-        witness = {coord: wx, "lhs": wa, "rhs": wb, "margin": wb - wa}
-        return LinkReport(lhs_expr, rhs_expr, "falsified", min_margin, rx, witness)
-    if all_zero:
-        return LinkReport(
-            lhs_expr,
-            rhs_expr,
-            "falsified",
-            0.0,
-            xs[0],
-            note="degenerate: both sides are numerically identical across the grid",
-        )
-    if not has_positive:
-        return LinkReport(
-            lhs_expr,
-            rhs_expr,
-            "inconclusive",
-            min_margin,
-            rx,
-            note="every margin sits inside the tie threshold",
-        )
-    return LinkReport(lhs_expr, rhs_expr, "verified_numeric", min_margin, rx)
+    """_LinkScan over whole arrays of side values."""
+    np = _np()
+    a = np.asarray(lhs_vals, dtype=float)
+    b = np.asarray(rhs_vals, dtype=float)
+    scan = _LinkScan(where, lhs_expr, rhs_expr, coord, x_at)
+    for start in range(0, len(a), _BLOCK):
+        scan.add(a[start:start + _BLOCK], b[start:start + _BLOCK])
+    return scan.report(value_fn, depth)
 
 
 def _chain_verdict(links: Iterable[LinkReport]) -> str:
@@ -316,84 +434,61 @@ def _chain_verdict(links: Iterable[LinkReport]) -> str:
 
 
 def _verify_kernel_chain(chain: Chain, config: VerificationConfig) -> list[LinkReport]:
-    lo, hi = chain.domain
-    glo, ghi = _inset(lo, hi, config.endpoint_eps)
-    grid = _linspace(glo, ghi, config.samples)
-    key = (lo, hi, config.samples, config.endpoint_eps)
-    values = [
-        _member_grid(expr, fn, key, grid)
-        for expr, fn in zip(chain.members, chain.member_fns)
+    glo, ghi = _inset(*chain.domain, config.endpoint_eps)
+    grid = _Grid.between(glo, ghi, config.samples)
+    fns = chain.member_fns
+    scans = [
+        _LinkScan(f"chain {chain.id}", lhs, rhs, "t", grid.x)
+        for lhs, rhs in zip(chain.members, chain.members[1:])
     ]
-    links = []
-    for i in range(len(chain.members) - 1):
-        lf = chain.member_fns[i]
-        rf = chain.member_fns[i + 1]
-        links.append(
-            _assess_link(
-                f"chain {chain.id}",
-                chain.members[i],
-                chain.members[i + 1],
-                grid,
-                values[i],
-                values[i + 1],
-                lambda x, lf=lf, rf=rf: (lf(x), rf(x)),
-                config.refine_depth,
-                "t",
-            )
-        )
-    return links
+    for ts in grid.blocks():
+        values = [_on_block(fn, ts) for fn in fns]
+        for scan, lhs_vals, rhs_vals in zip(scans, values, values[1:]):
+            scan.add(lhs_vals, rhs_vals)
+    return [
+        scan.report(lambda x, lf=lf, rf=rf: (lf(x), rf(x)), config.refine_depth)
+        for scan, lf, rf in zip(scans, fns, fns[1:])
+    ]
 
 
 def _verify_mean_chain(
     chain: Chain, config: VerificationConfig
 ) -> tuple[list[LinkReport], float, bool]:
-    step = (config.ratio_max - 1.0) / config.ratio_samples
-    ratios = [1.0 + j * step for j in range(1, config.ratio_samples + 1)]
-    vectors = []
-    for r in ratios:
-        bundle = mean_bundle(r, 1.0)
-        vectors.append(tuple(bundle[v] for v in MEAN_VARS))
-    values = [[fn(*vec) for vec in vectors] for fn in chain.member_fns]
-
-    sub = math.asin if chain.substitution == "arcsin" else math.atan
-    ts = [sub((r - 1.0) / (r + 1.0)) for r in ratios]
-    scales = [chain.scale_fn(*vec) for vec in vectors]
-    twin_values = [
-        [s * fn(t) for s, t in zip(scales, ts)] for fn in chain.twin_fns
+    np = _np()
+    grid = _Grid(1.0, (config.ratio_max - 1.0) / config.ratio_samples, config.ratio_samples, shift=1)
+    fns = chain.member_fns
+    scans = [
+        _LinkScan(f"chain {chain.id}", lhs, rhs, "ratio", grid.x)
+        for lhs, rhs in zip(chain.members, chain.members[1:])
     ]
-
+    sub = np.asin if chain.substitution == "arcsin" else np.atan
     twin_max = 0.0
     twin_ok = True
-    for li in range(len(chain.members) - 1):
-        for j in range(len(ratios)):
-            mean_margin = values[li + 1][j] - values[li][j]
-            kern_margin = twin_values[li + 1][j] - twin_values[li][j]
-            deviation = abs(mean_margin - kern_margin)
-            twin_max = max(twin_max, deviation)
-            if deviation > _TWIN_REL * max(1.0, abs(kern_margin)):
-                twin_ok = False
+    for ratios in grid.blocks():
+        bundle = mean_bundle(ratios, 1.0)
+        vec = tuple(bundle[v] for v in MEAN_VARS)
+        values = [_on_block(fn, *vec) for fn in fns]
+        for scan, lhs_vals, rhs_vals in zip(scans, values, values[1:]):
+            scan.add(lhs_vals, rhs_vals)
+        ts = sub((ratios - 1.0) / (ratios + 1.0))
+        scale = _on_block(chain.scale_fn, *vec)
+        twins = [scale * _on_block(fn, ts) for fn in chain.twin_fns]
+        for lhs_vals, rhs_vals, lhs_twin, rhs_twin in zip(values, values[1:], twins, twins[1:]):
+            kern_margin = rhs_twin - lhs_twin
+            deviation = np.abs(rhs_vals - lhs_vals - kern_margin)
+            twin_max = max(twin_max, deviation.max().item())
+            tolerance = _TWIN_REL * np.maximum(np.abs(kern_margin), 1.0)
+            twin_ok = twin_ok and not (deviation > tolerance).any()
 
     links = []
-    for i in range(len(chain.members) - 1):
-        lf = chain.member_fns[i]
-        rf = chain.member_fns[i + 1]
+    for scan, lf, rf in zip(scans, fns, fns[1:]):
 
         def value_fn(r: float, lf=lf, rf=rf) -> tuple[float, float]:
             bundle = mean_bundle(r, 1.0)
             vec = tuple(bundle[v] for v in MEAN_VARS)
             return lf(*vec), rf(*vec)
 
-        link = _assess_link(
-            f"chain {chain.id}",
-            chain.members[i],
-            chain.members[i + 1],
-            ratios,
-            values[i],
-            values[i + 1],
-            value_fn,
-            config.refine_depth,
-            "ratio",
-        )
+        link = scan.report(value_fn, config.refine_depth)
         if link.witness is not None:
             link.witness["pair"] = [link.witness["ratio"], 1.0]
         links.append(link)
@@ -468,19 +563,12 @@ def probe_sharpness(
     offset = cfg.epsilon if probe.direction == "+" else -cfg.epsilon
     parameter = probe.base_value + offset
     rlo, rhi = _probe_interval(probe, cfg)
-    grid = _linspace(rlo, rhi, cfg.samples)
-    lhs_vals = [probe.lhs_fn(parameter, t) for t in grid]
-    rhs_vals = [probe.rhs_fn(parameter, t) for t in grid]
-    link = _assess_link(
-        f"probe {probe.id}",
-        probe.lhs,
-        probe.rhs,
-        grid,
-        lhs_vals,
-        rhs_vals,
-        lambda t: (probe.lhs_fn(parameter, t), probe.rhs_fn(parameter, t)),
-        cfg.refine_depth,
-        "t",
+    grid = _Grid.between(rlo, rhi, cfg.samples)
+    scan = _LinkScan(f"probe {probe.id}", probe.lhs, probe.rhs, "t", grid.x)
+    for ts in grid.blocks():
+        scan.add(_on_block(probe.lhs_fn, parameter, ts), _on_block(probe.rhs_fn, parameter, ts))
+    link = scan.report(
+        lambda t: (probe.lhs_fn(parameter, t), probe.rhs_fn(parameter, t)), cfg.refine_depth
     )
     broke = link.verdict == "falsified" and link.witness is not None
     elapsed = time.perf_counter() - start
@@ -558,9 +646,10 @@ def verify_monotone(
             f"kernel {kernel_id!r} declares no monotone direction; pass one explicitly"
         )
     cfg = config or VerificationConfig()
+    np = _np()
     glo, ghi = _inset(k.lo, k.hi, cfg.endpoint_eps)
-    grid = _linspace(glo, ghi, cfg.samples)
-    values = [k.fn(x) for x in grid]
+    grid = _Grid.between(glo, ghi, cfg.samples)
+    values = np.concatenate([_on_block(k.fn, ts) for ts in grid.blocks()])
     sign = 1.0 if direction == "increasing" else -1.0
 
     # Step i is a link from values[i] to values[i + 1]: for an increasing
@@ -574,7 +663,7 @@ def verify_monotone(
         f"kernel {kernel_id}",
         lhs_name,
         rhs_name,
-        range(len(grid) - 1),
+        int,
         lhs_vals,
         rhs_vals,
         None,
@@ -584,34 +673,31 @@ def verify_monotone(
     j = link.argmin
     # Recomputed rather than taken from min_margin: a flat step of a
     # decreasing kernel is -0.0 here, and the report keeps that sign.
-    worst_step = sign * (values[j + 1] - values[j])
-    worst_at = grid[j]
+    worst_step = sign * (values[j + 1] - values[j]).item()
+    worst_at = grid.x(j)
     witness = None
     if link.witness is not None:
         i = link.witness["step"]
         witness = {
-            "t": grid[i],
-            "t_next": grid[i + 1],
-            "value": values[i],
-            "value_next": values[i + 1],
+            "t": grid.x(i),
+            "t_next": grid.x(i + 1),
+            "value": values[i].item(),
+            "value_next": values[i + 1].item(),
         }
 
-    net_change = sign * (values[-1] - values[0])
+    net_change = sign * (values[-1] - values[0]).item()
+    # Seeded central differences at 100 random interior points.
     rng = random.Random(20260816)
     h = (ghi - glo) * 1e-6
-    spots_ok = True
+    xs = glo + (ghi - glo) * np.array([rng.random() for _ in range(100)])
+    fa = _on_block(k.fn, np.maximum(xs - h, glo))
+    fb = _on_block(k.fn, np.minimum(xs + h, ghi))
+    bad = sign * (fb - fa) < -_SPOT_REL * np.maximum(np.maximum(np.abs(fa), np.abs(fb)), 1.0)
+    spots_ok = not bad.any()
     spot_witness = None
-    for _ in range(100):
-        x = glo + (ghi - glo) * rng.random()
-        xa = max(x - h, glo)
-        xb = min(x + h, ghi)
-        fa = k.fn(xa)
-        fb = k.fn(xb)
-        d = sign * (fb - fa)
-        if d < -_SPOT_REL * max(1.0, abs(fa), abs(fb)):
-            spots_ok = False
-            if spot_witness is None:
-                spot_witness = {"t": x, "value_left": fa, "value_right": fb}
+    if not spots_ok:
+        i = int(np.argmax(bad))
+        spot_witness = {"t": xs[i].item(), "value_left": fa[i].item(), "value_right": fb[i].item()}
 
     if witness is not None or net_change < 0.0 or not spots_ok:
         verdict = "falsified"

@@ -63,7 +63,6 @@ def test_criterion_1_sharp_constants():
 def test_criterion_2_chain_verification():
     cat = C.load_catalog()
     cfg = V.VerificationConfig()  # 20001 samples + refinement
-    V.clear_grid_cache()
     start = time.perf_counter()
     failures = []
     count = 0

@@ -151,7 +151,7 @@ def _mp_g_over_lncos(t):
     "fn,oracle,lo,hi",
     [
         (K.t_cot_minus1, _mp_tcm1, 0.1, 0.4),
-        (K.t_coth_minus1, _mp_tcoth, 0.1, 0.4),
+        (K.t_coth_minus1, _mp_tcoth, 0.25, 1.0),
         (K.ratio_u5_u4, _mp_r54, 0.25, 1.0),
         (lambda t: K.G_p(0.5, t), _mp_g_over_lncos, 0.1, 0.4),
     ],
@@ -168,7 +168,7 @@ def test_seam_agreement(fn, oracle, lo, hi):
 
 def test_small_t_thresholds_recorded():
     assert K.KERNELS["t_cot_minus1"].small_t_threshold == K.SMALL_T
-    assert K.KERNELS["t_coth_minus1"].small_t_threshold == K.SMALL_T
+    assert K.KERNELS["t_coth_minus1"].small_t_threshold == K.SMALL_T_HYPERBOLIC == 0.5
     assert K.KERNELS["ratio_u5_u4"].small_t_threshold == 0.5
 
 

@@ -6,6 +6,9 @@ Property sweeps use seeded RNG so failures reproduce.
 
 import math
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -187,3 +190,43 @@ def test_domain_errors():
         M.substitution_arcsin((3.0, 1.0))  # needs b > a
     with pytest.raises(DomainError):
         M.substitution_arctan((2.0, 2.0))
+
+
+def test_large_pair_bundle_returns_promptly():
+    # x + y overflows here; the old u = (x-y)/(x+y) became 0 and the atanh
+    # series never ended. A subprocess keeps a regression from hanging the run.
+    code = (
+        "import math\n"
+        "from ineqforge.means import mean_bundle\n"
+        "b = mean_bundle(1.7e308, 1.6e308)\n"
+        "print(all(math.isfinite(b[k]) for k in 'AGLIPTX'), b['A'])\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={"PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    finite, a = out.stdout.split()
+    assert finite == "True"
+    assert float(a) == 0.5 * 1.7e308 + 0.5 * 1.6e308
+
+
+def test_large_pair_geometric_mean_does_not_overflow():
+    bundle = M.mean_bundle(1e308, 1e300)
+    assert bundle["G"] == pytest.approx(1e304, rel=1e-15)
+    assert M.evaluate_mean("G", (1e308, 1e300)) == bundle["G"]
+    assert M.evaluate_mean("A", (1e308, 1e300)) == bundle["A"] == 0.5e308 + 0.5e300
+    for kind in ("I", "X", "J"):
+        assert math.isfinite(bundle[kind]), kind
+        assert bundle["G"] < bundle[kind] < bundle["A"], kind
+
+
+def test_halved_forms_match_the_plain_ones_for_unit_y():
+    # A from halves, u from halves and G as sqrt(x)*sqrt(y) change no bit
+    # at the pairs (r, 1) the verifier evaluates
+    rng = random.Random(7)
+    for _ in range(2000):
+        r = rng.uniform(1.0, 1e4)
+        bundle = M.mean_bundle(r, 1.0)
+        assert bundle["A"] == 0.5 * (r + 1.0)
+        assert bundle["G"] == math.sqrt(r * 1.0)

@@ -233,7 +233,6 @@ def test_theorem_m6_iff_suite_small():
 
 
 def test_run_suite_small_passes(cat):
-    V.clear_grid_cache()
     report = V.run_suite(SMALL, cat)
     assert report.passed is True, [r.name for r in report.rows if not r.passed]
     names = [row.name for row in report.rows]
@@ -256,12 +255,12 @@ def test_run_suite_names_a_flipped_chain(cat):
     assert chain.members[0] in row.detail and chain.members[1] in row.detail
 
 
-def test_grid_cache_reuse_is_consistent(cat):
-    V.clear_grid_cache()
-    first = V.verify_chain("M1", SMALL, cat)
-    second = V.verify_chain("M1", SMALL, cat)  # cache hit path
-    assert first.links[0].min_margin == second.links[0].min_margin
-    assert first.links[0].argmin == second.links[0].argmin
+def test_repeated_verification_is_deterministic(cat):
+    first = V.verify_chain("M1", SMALL, cat).to_dict()
+    second = V.verify_chain("M1", SMALL, cat).to_dict()
+    first.pop("elapsed_s")
+    second.pop("elapsed_s")
+    assert first == second
 
 
 # --- report schemas ---------------------------------------------------------------------
