@@ -11,7 +11,7 @@ from __future__ import annotations
 import ast
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from importlib import resources
 from types import MappingProxyType
@@ -139,9 +139,6 @@ class Chain:
     scale_fn: Callable | None = None
     twin_members: tuple[str, ...] | None = None
     twin_fns: tuple[Callable, ...] | None = None
-
-    def __len__(self) -> int:
-        return len(self.members)
 
 
 @dataclass(frozen=True)
@@ -393,23 +390,15 @@ def flipped_catalog(source: Catalog, chain_id: str, link_index: int) -> Catalog:
             f"chain {chain_id!r} has {len(chain.members) - 1} links; "
             f"index {link_index} is out of range"
         )
-    members = list(chain.members)
-    members[link_index], members[link_index + 1] = (
-        members[link_index + 1],
-        members[link_index],
-    )
-    record = {"id": chain.id, "kind": chain.kind, "members": members}
-    if chain.kind == "kernel":
-        record["domain"] = (repr(chain.domain[0]), repr(chain.domain[1]))
-    else:
-        twins = list(chain.twin_members)
-        twins[link_index], twins[link_index + 1] = (
-            twins[link_index + 1],
-            twins[link_index],
-        )
-        record["substitution"] = chain.substitution
-        record["scale"] = chain.scale
-        record["twin_members"] = twins
+
+    def swapped(items: tuple) -> tuple:
+        items = list(items)
+        items[link_index], items[link_index + 1] = items[link_index + 1], items[link_index]
+        return tuple(items)
+
+    fields = ("members", "member_fns")
+    if chain.kind == "mean":
+        fields += ("twin_members", "twin_fns")
     chains = dict(source.chains)
-    chains[chain_id] = _build_chain(record)
+    chains[chain_id] = replace(chain, **{f: swapped(getattr(chain, f)) for f in fields})
     return Catalog(chains, dict(source.probes))

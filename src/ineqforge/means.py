@@ -9,8 +9,10 @@ L and I are assembled from atanh((x-y)/(x+y)) so that nearly equal
 arguments lose no precision; the same even ratio powers both, so the two
 stay mutually consistent to the last bit. All means return x exactly when
 x == y, and switch to quadratic small-ratio forms when |x-y|/(x+y) drops
-below 1e-7. A and G are built from halves and square roots, so no pair of
-finite doubles overflows them.
+below 1e-7. A, G, Q and the sums inside J and K are built from halves and
+square roots, and the power mean is rescaled where its powers leave the
+float range, so every pair of positive normal doubles has finite means.
+Each mean is held inside [min(x, y), max(x, y)].
 
 mean_bundle and weighted_power_mean also take numpy arrays (either
 argument, or both) and evaluate them elementwise, as the kernels do.
@@ -33,6 +35,7 @@ _BUNDLE_KINDS = ("A", "G", "Q", "L", "I", "P", "T", "X", "B", "J", "K")
 
 _SQRT2 = math.sqrt(2.0)
 _NEAR_DEGENERATE = 1e-7
+_HALVE_ABOVE = 2.0**1020
 
 
 def _real(value):
@@ -61,6 +64,21 @@ def _where(cond, if_true, if_false):
     return _np().where(cond, if_true, if_false)
 
 
+def _clamped(values, x, y) -> list:
+    """Each value held inside [min(x, y), max(x, y)], where every mean lies:
+    rounding can carry the mean of two close arguments past one of them.
+    Arrays, which the caller has just made, are clamped in place."""
+    if isinstance(x, float) and isinstance(y, float):
+        lo, hi = (x, y) if x < y else (y, x)
+        return [lo if v < lo else hi if v > hi else v for v in values]
+    np = _np()
+    lo, hi = np.minimum(x, y), np.maximum(x, y)
+    for v in values:
+        np.maximum(v, lo, out=v)
+        np.minimum(v, hi, out=v)
+    return list(values)
+
+
 def _atanh_over_u_minus1(u):
     """atanh(u)/u - 1 for |u| < 1, series below 0.2 to keep it fully relative."""
     return _piecewise(abs(u) < 0.2, _atanh_series, _atanh_direct, u)
@@ -87,18 +105,36 @@ def _atanh_series(u):
     return acc
 
 
+def _half(a):
+    """0.5 where a exceeds 2**1020, else 1.0: halving keeps sums of means
+    finite near the top of the float range, and halves of numbers that large
+    are exact, so the quotients of halves keep their bits."""
+    big = a > _HALVE_ABOVE
+    return _where(big, 0.5, 1.0) if _any(big) else 1.0
+
+
+def _agq(x, y):
+    """A, G and Q of a valid pair, from halves and square roots so that no
+    finite pair overflows them."""
+    m = _xp(x, y)
+    a = 0.5 * x + 0.5 * y
+    half = _half(a)
+    return a, m.sqrt(x) * m.sqrt(y), m.hypot(half * x, half * y) / (half * _SQRT2)
+
+
 def _arc_means(a, g, q, u):
     """P, T, X, J, B, K from A, G, Q and u = (x-y)/(x+y)."""
     m = _xp(u)
     p = a * u / m.asin(u)
     t = a * u / m.atan(u)
+    half = _half(a)
     return (
         p,
         t,
         a * m.exp(g / p - 1.0),
-        a * m.exp((a + g) / p - 2.0),
+        a * m.exp((half * a + half * g) / (half * p) - 2.0),
         q * m.exp(a / t - 1.0),
-        q * m.exp((q + a) / t - 2.0),
+        q * m.exp((half * q + half * a) / (half * t) - 2.0),
     )
 
 
@@ -116,25 +152,35 @@ def _arc_means_near_diagonal(a, g, q, u):
     )
 
 
-def mean_bundle(x, y) -> dict:
-    """All eleven non-parametric means of (x, y) computed in one pass."""
-    x, y = _validate_pair((x, y))
+def _bundle_values(x, y) -> tuple:
+    """The eleven means of a valid pair in _BUNDLE_KINDS order, unclamped."""
     m = _xp(x, y)
-    a = 0.5 * x + 0.5 * y
-    g = m.sqrt(x) * m.sqrt(y)
-    q = m.hypot(x, y) / _SQRT2
+    a, g, q = _agq(x, y)
     u = (0.5 * x - 0.5 * y) / a
-    h = _atanh_over_u_minus1(u)
+    # Past a ratio of 2**53 u rounds to +-1, where atanh(u) is infinite but
+    # atanh(u)/u is |log(x/y)|/2.
+    edge = abs(u) == 1.0
+    if _any(edge):
+        h = _atanh_over_u_minus1(_where(edge, 0.0, u))
+        h = _where(edge, 0.5 * abs(m.log(x) - m.log(y)) - 1.0, h)
+    else:
+        h = _atanh_over_u_minus1(u)
     lm = a / (1.0 + h)
     im = g * m.exp(h)
     p, t, xm, jm, bm, km = _piecewise(
         abs(u) < _NEAR_DEGENERATE, _arc_means_near_diagonal, _arc_means, a, g, q, u
     )
-    values = (a, g, q, lm, im, p, t, xm, bm, jm, km)
-    equal = x == y
-    if _any(equal):
-        values = [_where(equal, x, v) for v in values]
-    return dict(zip(_BUNDLE_KINDS, values))
+    return (a, g, q, lm, im, p, t, xm, bm, jm, km)
+
+
+def mean_bundle(x, y) -> dict:
+    """All eleven non-parametric means of (x, y) computed in one pass."""
+    x, y = _validate_pair((x, y))
+    return dict(zip(_BUNDLE_KINDS, _clamped(_bundle_values(x, y), x, y)))
+
+
+def _power_form(r: float, w: float, x, y):
+    return (w * x ** r + (1.0 - w) * y ** r) ** (1.0 / r)
 
 
 def weighted_power_mean(r: float, w: float, x, y):
@@ -142,8 +188,7 @@ def weighted_power_mean(r: float, w: float, x, y):
     if not (0.0 < w < 1.0):
         raise DomainError(f"weight must lie strictly in (0, 1), got {w!r}")
     x, y = _validate_pair((x, y))
-    equal = x == y
-    if _all(equal):
+    if _all(x == y):
         return x
     m = _xp(x, y)
     if r == 0.0:
@@ -156,8 +201,18 @@ def weighted_power_mean(r: float, w: float, x, y):
         qq = w * lx * lx + (1.0 - w) * ly * ly
         value = m.exp(mu + 0.5 * r * (qq - mu * mu))
     else:
-        value = (w * x ** r + (1.0 - w) * y ** r) ** (1.0 / r)
-    return _where(equal, x, value)
+        try:
+            value = _power_form(r, w, x, y)
+        except (OverflowError, ZeroDivisionError):
+            value = 0.0
+        # positive arguments give a value in [0, inf]
+        lost = (value == 0.0) | (value == math.inf)
+        if _any(lost):
+            # x**r or the sum left the float range: scale the argument that
+            # dominates the sum to 1
+            s = _where(x > y, x, y) if r > 0.0 else _where(x < y, x, y)
+            value = _where(lost, s * _power_form(r, w, x / s, y / s), value)
+    return _clamped((value,), x, y)[0]
 
 
 def evaluate_mean(kind: str, pair, r: float | None = None) -> float:
@@ -170,15 +225,9 @@ def evaluate_mean(kind: str, pair, r: float | None = None) -> float:
         if r is None:
             raise DomainError("mean kind 'power' requires the order r")
         return weighted_power_mean(r, 0.5, x, y)
-    if x == y:
-        return x
-    if kind == "A":
-        return 0.5 * x + 0.5 * y
-    if kind == "G":
-        return math.sqrt(x) * math.sqrt(y)
-    if kind == "Q":
-        return math.hypot(x, y) / _SQRT2
-    return mean_bundle(x, y)[kind]
+    # A, G and Q lead _BUNDLE_KINDS and need neither atanh nor the arc means
+    values = _agq(x, y) if kind in ("A", "G", "Q") else _bundle_values(x, y)
+    return _clamped((values[_BUNDLE_KINDS.index(kind)],), x, y)[0]
 
 
 def reduce_homogeneous(kind: str, pair, r: float | None = None) -> tuple[float, float, float]:
@@ -190,15 +239,24 @@ def reduce_homogeneous(kind: str, pair, r: float | None = None) -> tuple[float, 
     x, y = _validate_pair(pair)
     t = 0.5 * (math.log(x) - math.log(y))
     lhs = evaluate_mean(kind, (x, y), r)
-    rhs = math.sqrt(x * y) * evaluate_mean(kind, (math.exp(t), math.exp(-t)), r)
+    xy = x * y
+    # sqrt(x*y) wherever x*y stays in range, so those values keep their bits
+    g = math.sqrt(xy) if 0.0 < xy < math.inf else math.sqrt(x) * math.sqrt(y)
+    rhs = g * evaluate_mean(kind, (math.exp(t), math.exp(-t)), r)
     return t, lhs, rhs
 
 
-def _ordered_pair(pair) -> tuple[float, float]:
+def _substitution(pair, arc, norm: str, kinds: tuple[str, str, str, str]):
+    """t = arc((b-a)/(a+b)) and the residuals of sinc t, cos t, the exponential
+    cotangent kernel and its half-angle form against the means ``kinds`` over
+    the mean ``norm``."""
     a, b = _validate_pair(pair)
     if not b > a:
         raise DomainError(f"substitution requires b > a, got ({a!r}, {b!r})")
-    return a, b
+    t = arc((b - a) / (a + b))
+    m = mean_bundle(a, b)
+    forms = (kernels.sinc, math.cos, kernels.exp_tcot, kernels.exp_tcot_half)
+    return t, tuple(abs(f(t) - m[kind] / m[norm]) for f, kind in zip(forms, kinds))
 
 
 def substitution_arcsin(pair) -> tuple[float, tuple[float, float, float, float]]:
@@ -208,17 +266,7 @@ def substitution_arcsin(pair) -> tuple[float, tuple[float, float, float, float]]
     cotangent kernel with X/A, and its half-angle form with J/A. Each is an
     absolute difference of order-one quantities.
     """
-    a, b = _ordered_pair(pair)
-    u = (b - a) / (a + b)
-    t = math.asin(u)
-    m = mean_bundle(a, b)
-    res = (
-        abs(kernels.sinc(t) - m["P"] / m["A"]),
-        abs(math.cos(t) - m["G"] / m["A"]),
-        abs(kernels.exp_tcot(t) - m["X"] / m["A"]),
-        abs(kernels.exp_tcot_half(t) - m["J"] / m["A"]),
-    )
-    return t, res
+    return _substitution(pair, math.asin, "A", ("P", "G", "X", "J"))
 
 
 def substitution_arctan(pair) -> tuple[float, tuple[float, float, float, float]]:
@@ -227,14 +275,4 @@ def substitution_arctan(pair) -> tuple[float, tuple[float, float, float, float]]
     Here sinc t pairs with T/Q, cos t with A/Q, the exponential cotangent
     kernel with B/Q, and its half-angle form with K/Q.
     """
-    a, b = _ordered_pair(pair)
-    u = (b - a) / (a + b)
-    t = math.atan(u)
-    m = mean_bundle(a, b)
-    res = (
-        abs(kernels.sinc(t) - m["T"] / m["Q"]),
-        abs(math.cos(t) - m["A"] / m["Q"]),
-        abs(kernels.exp_tcot(t) - m["B"] / m["Q"]),
-        abs(kernels.exp_tcot_half(t) - m["K"] / m["Q"]),
-    )
-    return t, res
+    return _substitution(pair, math.atan, "Q", ("T", "A", "B", "K"))

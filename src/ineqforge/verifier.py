@@ -46,9 +46,8 @@ from .means import mean_bundle
 _TIE_REL = 1e-13
 # Grid margins from numpy sit within 0.07 tie thresholds of the float ones on
 # the packaged catalog; grid points within 0.15 of a violating minimum are
-# evaluated again as floats, at most 64 of them.
+# evaluated again as floats.
 _FLOAT_SLACK = 0.15
-_FLOAT_RECHECK_MAX = 64
 # Grids are generated, evaluated and scanned in blocks of this many points,
 # so a check holds 32 KB arrays where whole 20001-point grids would take
 # 160 KB per member and intermediate: about 1 MB less peak memory.
@@ -345,8 +344,6 @@ class _LinkScan:
                 # evaluated again as floats, and the first float minimum is
                 # refined, as a float-only scan would have chosen.
                 near = self.near[0].tolist()
-                if len(near) > _FLOAT_RECHECK_MAX:
-                    near = [min_idx]
                 sides = [value_fn(x_at(i)) for i in near]
                 k = min(range(len(near)), key=lambda k: sides[k][1] - sides[k][0])
                 min_idx = near[k]
@@ -402,27 +399,6 @@ class _LinkScan:
         return LinkReport(lhs_expr, rhs_expr, "verified_numeric", min_margin, rx)
 
 
-def _assess_link(
-    where: str,
-    lhs_expr: str,
-    rhs_expr: str,
-    x_at: Callable[[int], float],
-    lhs_vals,
-    rhs_vals,
-    value_fn: Callable[[float], tuple[float, float]] | None,
-    depth: int,
-    coord: str,
-) -> LinkReport:
-    """_LinkScan over whole arrays of side values."""
-    np = _np()
-    a = np.asarray(lhs_vals, dtype=float)
-    b = np.asarray(rhs_vals, dtype=float)
-    scan = _LinkScan(where, lhs_expr, rhs_expr, coord, x_at)
-    for start in range(0, len(a), _BLOCK):
-        scan.add(a[start:start + _BLOCK], b[start:start + _BLOCK])
-    return scan.report(value_fn, depth)
-
-
 def _chain_verdict(links: Iterable[LinkReport]) -> str:
     verdict = "verified_numeric"
     for link in links:
@@ -433,20 +409,18 @@ def _chain_verdict(links: Iterable[LinkReport]) -> str:
     return verdict
 
 
-def _verify_kernel_chain(chain: Chain, config: VerificationConfig) -> list[LinkReport]:
-    glo, ghi = _inset(*chain.domain, config.endpoint_eps)
-    grid = _Grid.between(glo, ghi, config.samples)
-    fns = chain.member_fns
-    scans = [
-        _LinkScan(f"chain {chain.id}", lhs, rhs, "t", grid.x)
-        for lhs, rhs in zip(chain.members, chain.members[1:])
-    ]
+def _check_links(
+    where: str, names: Sequence[str], fns: Sequence[Callable], grid: _Grid, depth: int, *params
+) -> list[LinkReport]:
+    """Every adjacent pair of members fn(*params, t) scanned over the grid and
+    refined: a kernel chain, or a probe as a two-member chain."""
+    scans = [_LinkScan(where, lhs, rhs, "t", grid.x) for lhs, rhs in zip(names, names[1:])]
     for ts in grid.blocks():
-        values = [_on_block(fn, ts) for fn in fns]
+        values = [_on_block(fn, *params, ts) for fn in fns]
         for scan, lhs_vals, rhs_vals in zip(scans, values, values[1:]):
             scan.add(lhs_vals, rhs_vals)
     return [
-        scan.report(lambda x, lf=lf, rf=rf: (lf(x), rf(x)), config.refine_depth)
+        scan.report(lambda t, lf=lf, rf=rf: (lf(*params, t), rf(*params, t)), depth)
         for scan, lf, rf in zip(scans, fns, fns[1:])
     ]
 
@@ -514,7 +488,10 @@ def verify_chain(
     twin_ok = None
     note = None
     if chain.kind == "kernel":
-        links = _verify_kernel_chain(chain, cfg)
+        grid = _Grid.between(*_inset(*chain.domain, cfg.endpoint_eps), cfg.samples)
+        links = _check_links(
+            f"chain {chain.id}", chain.members, chain.member_fns, grid, cfg.refine_depth
+        )
     else:
         links, twin_max, twin_ok = _verify_mean_chain(chain, cfg)
     verdict = _chain_verdict(links)
@@ -563,12 +540,13 @@ def probe_sharpness(
     offset = cfg.epsilon if probe.direction == "+" else -cfg.epsilon
     parameter = probe.base_value + offset
     rlo, rhi = _probe_interval(probe, cfg)
-    grid = _Grid.between(rlo, rhi, cfg.samples)
-    scan = _LinkScan(f"probe {probe.id}", probe.lhs, probe.rhs, "t", grid.x)
-    for ts in grid.blocks():
-        scan.add(_on_block(probe.lhs_fn, parameter, ts), _on_block(probe.rhs_fn, parameter, ts))
-    link = scan.report(
-        lambda t: (probe.lhs_fn(parameter, t), probe.rhs_fn(parameter, t)), cfg.refine_depth
+    (link,) = _check_links(
+        f"probe {probe.id}",
+        (probe.lhs, probe.rhs),
+        (probe.lhs_fn, probe.rhs_fn),
+        _Grid.between(rlo, rhi, cfg.samples),
+        cfg.refine_depth,
+        parameter,
     )
     broke = link.verdict == "falsified" and link.witness is not None
     elapsed = time.perf_counter() - start
@@ -659,17 +637,10 @@ def verify_monotone(
     if direction == "decreasing":
         sides.reverse()
     (lhs_name, lhs_vals), (rhs_name, rhs_vals) = sides
-    link = _assess_link(
-        f"kernel {kernel_id}",
-        lhs_name,
-        rhs_name,
-        int,
-        lhs_vals,
-        rhs_vals,
-        None,
-        0,
-        "step",
-    )
+    scan = _LinkScan(f"kernel {kernel_id}", lhs_name, rhs_name, "step", int)
+    for start in range(0, len(lhs_vals), _BLOCK):
+        scan.add(lhs_vals[start:start + _BLOCK], rhs_vals[start:start + _BLOCK])
+    link = scan.report(None, 0)
     j = link.argmin
     # Recomputed rather than taken from min_margin: a flat step of a
     # decreasing kernel is -0.0 here, and the report keeps that sign.

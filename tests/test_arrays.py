@@ -75,7 +75,12 @@ def reference_scan(lhs_vals, rhs_vals) -> dict:
 
 
 def array_scan(lhs_vals, rhs_vals) -> dict:
-    link = V._assess_link("scan", "lhs", "rhs", int, lhs_vals, rhs_vals, None, 0, "step")
+    a = np.asarray(lhs_vals, dtype=float)
+    b = np.asarray(rhs_vals, dtype=float)
+    scan = V._LinkScan("scan", "lhs", "rhs", "step", int)
+    for start in range(0, len(a), V._BLOCK):
+        scan.add(a[start:start + V._BLOCK], b[start:start + V._BLOCK])
+    link = scan.report(None, 0)
     step = None if link.witness is None else link.witness["step"]
     return {"verdict": link.verdict, "min_margin": link.min_margin, "argmin": link.argmin, "step": step}
 
@@ -233,3 +238,33 @@ def test_flat_valley_witness_is_the_float_scan_one():
     )
     assert b - a < rhs[i] - lhs[i]
     assert report.witness == {"t": x, "lhs": a, "rhs": b, "margin": b - a}
+
+
+def test_float_recheck_covers_a_flat_valley_of_any_width():
+    # t against exp(log(t)) - 1e-3 violates by 1e-3 everywhere, with
+    # last-bit noise that differs between numpy and math, so every grid
+    # point lies in the near set of the minimum. The witness must still be
+    # the one a float-only scan and refinement give.
+    cfg = V.VerificationConfig(samples=2001)
+    chain = C._build_chain(
+        {"id": "flat", "kind": "kernel", "domain": ["1", "2"],
+         "members": ["t", "exp(log(t)) - 1e-3"]}
+    )
+    report = V.verify_chain(chain, cfg)
+    lf, rf = chain.member_fns
+    grid = V._Grid.between(*V._inset(*chain.domain, cfg.endpoint_eps), cfg.samples)
+    ts = [grid.x(i) for i in range(cfg.samples)]
+    lhs = [lf(t) for t in ts]
+    rhs = [rf(t) for t in ts]
+    margins = [b - a for a, b in zip(lhs, rhs)]
+    lowest = min(margins)
+    near = sum(m <= lowest + 0.15 * TIE_REL * max(1.0, abs(a), abs(b))
+               for m, a, b in zip(margins, lhs, rhs))
+    assert near > 64
+    i = reference_scan(lhs, rhs)["argmin"]
+    refined = V._golden_refine(
+        lambda t: (lf(t), rf(t)), ts[max(i - 1, 0)], ts[min(i + 1, cfg.samples - 1)],
+        cfg.refine_depth,
+    )
+    x, a, b = min([(ts[i], lhs[i], rhs[i]), refined], key=lambda c: c[2] - c[1])
+    assert report.links[0].witness == {"t": x, "lhs": a, "rhs": b, "margin": b - a}

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ineqforge import catalog as C
 from ineqforge.errors import CatalogError
@@ -78,6 +80,49 @@ def test_compile_rejects_unsafe_or_unknown(expr):
         C.compile_expression(expr, ("t",))
 
 
+# Expressions the whitelist accepts, built from names and calls the catalog uses.
+_ACCEPTED = st.recursive(
+    st.sampled_from(["t", "2", "0.5", "pi", "p1", "exp(t)"]),
+    lambda inner: st.one_of(
+        st.builds("({} + {})".format, inner, inner),
+        st.builds("({} * {})".format, inner, inner),
+        st.builds("({} ** {})".format, inner, inner),
+        st.builds("(-{})".format, inner),
+        st.builds("sinc({})".format, inner),
+        st.builds("wpm({}, 0.5, {}, 1)".format, inner, inner),
+    ),
+    max_leaves=5,
+)
+# One rejected construct wrapped around an accepted expression: an attribute,
+# a subscript, a lambda, a comprehension, a comparison, a keyword argument, a
+# string constant or an unknown name.
+_REJECTED = st.sampled_from(
+    [
+        "({}).real",
+        "({}).__class__",
+        "({})[0]",
+        "(lambda: {})()",
+        "[{} for t in (1,)]",
+        "sum({} for t in (1, 2))",
+        "({} < 1)",
+        "(1 == {})",
+        "sin(x={})",
+        "({} + 'a')",
+        "len('{}')",
+        "({} + undefined_name)",
+        "__import__('os')({})",
+    ]
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ACCEPTED, _REJECTED, _ACCEPTED)
+def test_whitelist_rejects_with_catalog_error_only(inner, construct, outer):
+    C.compile_expression(f"{outer} + {inner}", ("t",))
+    with pytest.raises(CatalogError):
+        C.compile_expression(f"{outer} + {construct.format(inner)}", ("t",))
+
+
 def test_evaluate_constant_expression():
     assert C.evaluate_constant_expression("pi/2") == math.pi / 2.0
     assert C.evaluate_constant_expression("1-exp(-1.2)") == 1.0 - math.exp(-1.2)
@@ -130,6 +175,9 @@ def test_flipped_catalog_swaps_one_pair():
     assert swapped.members[0] == original.members[1]
     assert swapped.members[1] == original.members[0]
     assert swapped.members[2:] == original.members[2:]
+    # the compiled members move with their strings
+    assert swapped.member_fns[:2] == original.member_fns[1::-1]
+    assert swapped.domain == original.domain
     # other chains untouched
     assert flipped.get_chain("M2").members == cat.get_chain("M2").members
 
@@ -141,6 +189,8 @@ def test_flipped_catalog_mean_chain_swaps_twins_too():
     flipped = C.flipped_catalog(cat, cid, 1).get_chain(cid)
     assert flipped.members[1] == original.members[2]
     assert flipped.twin_members[1] == original.twin_members[2]
+    assert flipped.member_fns[1:3] == original.member_fns[2:0:-1]
+    assert flipped.twin_fns[1:3] == original.twin_fns[2:0:-1]
 
 
 def test_flipped_catalog_rejects_bad_index():

@@ -196,7 +196,8 @@ def test_table_to_file(capsys, tmp_path):
     code, out, err = run(capsys, "table", "u(p=-1)", "--count", "5",
                          "--csv", str(target))
     assert code == 0 and out == ""
-    rows = list(csv.reader(target.open()))
+    with target.open() as handle:
+        rows = list(csv.reader(handle))
     assert rows[0] == ["t", "value"]
     assert len(rows) == 6
 

@@ -10,7 +10,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ineqforge import means as M
 from ineqforge.errors import DomainError
@@ -230,3 +233,53 @@ def test_halved_forms_match_the_plain_ones_for_unit_y():
         bundle = M.mean_bundle(r, 1.0)
         assert bundle["A"] == 0.5 * (r + 1.0)
         assert bundle["G"] == math.sqrt(r * 1.0)
+
+
+_NORMAL = st.floats(min_value=1e-300, max_value=1.7e308)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_NORMAL, _NORMAL)
+def test_means_finite_internal_and_symmetric_across_the_float_range(x, y):
+    lo, hi = min(x, y), max(x, y)
+    for kind in M.MEAN_KINDS:
+        for r in (-2.0, M.POWER_DISPLAY_R, 3.0) if kind == "power" else (None,):
+            v = M.evaluate_mean(kind, (x, y), r=r)
+            assert math.isfinite(v) and lo <= v <= hi, (kind, r, v)
+            assert M.evaluate_mean(kind, (y, x), r=r) == v, (kind, r)
+    # the array path: one pass, no numpy warning, the same bounds
+    bundle = M.mean_bundle(np.array([x, y]), np.array([y, x]))
+    for kind, values in bundle.items():
+        assert np.all(np.isfinite(values)) and np.all((lo <= values) & (values <= hi)), kind
+        assert values[0] == values[1], kind
+
+
+def test_extreme_pairs_stay_finite():
+    top = M.mean_bundle(1.7e308, 1.6e308)
+    assert all(1.6e308 <= v <= 1.7e308 for v in top.values()), top
+    for kind in M.MEAN_KINDS:
+        r = 2.0 if kind == "power" else None
+        _, lhs, rhs = M.reduce_homogeneous(kind, (1e308, 1e300), r)
+        # L and I lose about ratio * eps through atanh((x-y)/(x+y))
+        assert math.isfinite(rhs) and rhs == pytest.approx(lhs, rel=1e-8), kind
+    assert M.evaluate_mean("power", (1e308, 1e300), r=2.0) == pytest.approx(
+        math.sqrt(0.5) * 1e308, rel=1e-15)
+    assert M.weighted_power_mean(-2.0, 0.5, 1e-300, 1e-200) == pytest.approx(
+        math.sqrt(2.0) * 1e-300, rel=1e-15)
+    # past a ratio of 2**53, u = (x-y)/(x+y) rounds to 1
+    assert M.mean_bundle(1e17, 1.0)["L"] == pytest.approx((1e17 - 1.0) / math.log(1e17), rel=1e-15)
+
+
+def test_overflow_guards_keep_in_range_values_bit_identical():
+    # Q, J, K from halves and the rescaled power mean apply only where the
+    # plain forms leave the float range
+    rng = random.Random(11)
+    for _ in range(2000):
+        x = 10 ** rng.uniform(-90, 90)
+        y = x * 10 ** rng.uniform(-12, 12)
+        bundle = M.mean_bundle(x, y)
+        assert bundle["Q"] == math.hypot(x, y) / math.sqrt(2.0)
+        a, g, q, p, t = (bundle[k] for k in "AGQPT")
+        assert bundle["J"] == a * math.exp((a + g) / p - 2.0)
+        assert bundle["K"] == q * math.exp((q + a) / t - 2.0)
+        assert M.weighted_power_mean(3.0, 0.5, x, y) == (0.5 * x ** 3 + 0.5 * y ** 3) ** (1 / 3)
