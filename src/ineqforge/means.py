@@ -21,6 +21,7 @@ argument, or both) and evaluate them elementwise, as the kernels do.
 from __future__ import annotations
 
 import math
+import sys
 
 from . import kernels
 from .errors import DomainError
@@ -35,7 +36,6 @@ _BUNDLE_KINDS = ("A", "G", "Q", "L", "I", "P", "T", "X", "B", "J", "K")
 
 _SQRT2 = math.sqrt(2.0)
 _NEAR_DEGENERATE = 1e-7
-_HALVE_ABOVE = 2.0**1020
 
 
 def _real(value):
@@ -105,21 +105,13 @@ def _atanh_series(u):
     return acc
 
 
-def _half(a):
-    """0.5 where a exceeds 2**1020, else 1.0: halving keeps sums of means
-    finite near the top of the float range, and halves of numbers that large
-    are exact, so the quotients of halves keep their bits."""
-    big = a > _HALVE_ABOVE
-    return _where(big, 0.5, 1.0) if _any(big) else 1.0
-
-
 def _agq(x, y):
     """A, G and Q of a valid pair, from halves and square roots so that no
-    finite pair overflows them."""
+    finite pair overflows them. Halving a double of at least 2**-1021 is
+    exact, so there a quotient of halves keeps the bits of the plain one."""
     m = _xp(x, y)
     a = 0.5 * x + 0.5 * y
-    half = _half(a)
-    return a, m.sqrt(x) * m.sqrt(y), m.hypot(half * x, half * y) / (half * _SQRT2)
+    return a, m.sqrt(x) * m.sqrt(y), m.hypot(0.5 * x, 0.5 * y) / (0.5 * _SQRT2)
 
 
 def _arc_means(a, g, q, u):
@@ -127,14 +119,13 @@ def _arc_means(a, g, q, u):
     m = _xp(u)
     p = a * u / m.asin(u)
     t = a * u / m.atan(u)
-    half = _half(a)
     return (
         p,
         t,
         a * m.exp(g / p - 1.0),
-        a * m.exp((half * a + half * g) / (half * p) - 2.0),
+        a * m.exp((0.5 * a + 0.5 * g) / (0.5 * p) - 2.0),
         q * m.exp(a / t - 1.0),
-        q * m.exp((half * q + half * a) / (half * t) - 2.0),
+        q * m.exp((0.5 * q + 0.5 * a) / (0.5 * t) - 2.0),
     )
 
 
@@ -240,8 +231,9 @@ def reduce_homogeneous(kind: str, pair, r: float | None = None) -> tuple[float, 
     t = 0.5 * (math.log(x) - math.log(y))
     lhs = evaluate_mean(kind, (x, y), r)
     xy = x * y
-    # sqrt(x*y) wherever x*y stays in range, so those values keep their bits
-    g = math.sqrt(xy) if 0.0 < xy < math.inf else math.sqrt(x) * math.sqrt(y)
+    # sqrt(x*y) wherever x*y is a normal double, so those values keep their
+    # bits; a subnormal or infinite product would lose them
+    g = math.sqrt(xy) if sys.float_info.min <= xy < math.inf else math.sqrt(x) * math.sqrt(y)
     rhs = g * evaluate_mean(kind, (math.exp(t), math.exp(-t)), r)
     return t, lhs, rhs
 

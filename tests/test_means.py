@@ -257,22 +257,25 @@ def test_means_finite_internal_and_symmetric_across_the_float_range(x, y):
 def test_extreme_pairs_stay_finite():
     top = M.mean_bundle(1.7e308, 1.6e308)
     assert all(1.6e308 <= v <= 1.7e308 for v in top.values()), top
-    for kind in M.MEAN_KINDS:
-        r = 2.0 if kind == "power" else None
-        _, lhs, rhs = M.reduce_homogeneous(kind, (1e308, 1e300), r)
-        # L and I lose about ratio * eps through atanh((x-y)/(x+y))
-        assert math.isfinite(rhs) and rhs == pytest.approx(lhs, rel=1e-8), kind
+    # x*y overflows at the first pair and is subnormal at the other two; the
+    # last takes r = 0.5 since the power mean loses digits where x**r is subnormal
+    for pair, order in (((1e308, 1e300), 2.0), ((1e-160, 1e-160), 2.0), ((3e-160, 1e-160), 0.5)):
+        for kind in M.MEAN_KINDS:
+            r = order if kind == "power" else None
+            _, lhs, rhs = M.reduce_homogeneous(kind, pair, r)
+            # L and I lose about ratio * eps through atanh((x-y)/(x+y))
+            assert math.isfinite(rhs) and rhs == pytest.approx(lhs, rel=1e-8, abs=0.0), (pair, kind)
     assert M.evaluate_mean("power", (1e308, 1e300), r=2.0) == pytest.approx(
         math.sqrt(0.5) * 1e308, rel=1e-15)
     assert M.weighted_power_mean(-2.0, 0.5, 1e-300, 1e-200) == pytest.approx(
-        math.sqrt(2.0) * 1e-300, rel=1e-15)
+        math.sqrt(2.0) * 1e-300, rel=1e-15, abs=0.0)
     # past a ratio of 2**53, u = (x-y)/(x+y) rounds to 1
     assert M.mean_bundle(1e17, 1.0)["L"] == pytest.approx((1e17 - 1.0) / math.log(1e17), rel=1e-15)
 
 
 def test_overflow_guards_keep_in_range_values_bit_identical():
-    # Q, J, K from halves and the rescaled power mean apply only where the
-    # plain forms leave the float range
+    # Q, J, K from halves keep the bits of the plain forms, and the power
+    # mean is rescaled only where its plain form leaves the float range
     rng = random.Random(11)
     for _ in range(2000):
         x = 10 ** rng.uniform(-90, 90)
