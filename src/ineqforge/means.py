@@ -10,8 +10,10 @@ arguments lose no precision; the same even ratio powers both, so the two
 stay mutually consistent to the last bit. All means return x exactly when
 x == y, and switch to quadratic small-ratio forms when |x-y|/(x+y) drops
 below 1e-7. A, G, Q and the sums inside J and K are built from halves and
-square roots, and the power mean is rescaled where its powers leave the
-float range, so every pair of positive normal doubles has finite means.
+square roots, the power mean is rescaled where its sum of powers is not a
+normal double, and I takes its exponential in two halves where one would
+overflow. So every pair of positive doubles of which at most one is
+subnormal has finite means.
 Each mean is held inside [min(x, y), max(x, y)].
 
 mean_bundle and weighted_power_mean also take numpy arrays (either
@@ -36,6 +38,7 @@ _BUNDLE_KINDS = ("A", "G", "Q", "L", "I", "P", "T", "X", "B", "J", "K")
 
 _SQRT2 = math.sqrt(2.0)
 _NEAR_DEGENERATE = 1e-7
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 def _real(value):
@@ -154,10 +157,14 @@ def _bundle_values(x, y) -> tuple:
     if _any(edge):
         h = _atanh_over_u_minus1(_where(edge, 0.0, u))
         h = _where(edge, 0.5 * abs(m.log(x) - m.log(y)) - 1.0, h)
+        # Past h = log(max double), which takes a subnormal argument, exp(h)
+        # overflows though I does not; there it is taken in two halves.
+        half = _where(h > _LOG_MAX, 0.5 * h, 0.0)
+        im = g * m.exp(h - half) * m.exp(half)
     else:
         h = _atanh_over_u_minus1(u)
+        im = g * m.exp(h)
     lm = a / (1.0 + h)
-    im = g * m.exp(h)
     p, t, xm, jm, bm, km = _piecewise(
         abs(u) < _NEAR_DEGENERATE, _arc_means_near_diagonal, _arc_means, a, g, q, u
     )
@@ -170,8 +177,8 @@ def mean_bundle(x, y) -> dict:
     return dict(zip(_BUNDLE_KINDS, _clamped(_bundle_values(x, y), x, y)))
 
 
-def _power_form(r: float, w: float, x, y):
-    return (w * x ** r + (1.0 - w) * y ** r) ** (1.0 / r)
+def _power_sum(r: float, w: float, x, y):
+    return w * x ** r + (1.0 - w) * y ** r
 
 
 def weighted_power_mean(r: float, w: float, x, y):
@@ -193,16 +200,17 @@ def weighted_power_mean(r: float, w: float, x, y):
         value = m.exp(mu + 0.5 * r * (qq - mu * mu))
     else:
         try:
-            value = _power_form(r, w, x, y)
+            total = _power_sum(r, w, x, y)
+            value = total ** (1.0 / r)
         except (OverflowError, ZeroDivisionError):
-            value = 0.0
-        # positive arguments give a value in [0, inf]
-        lost = (value == 0.0) | (value == math.inf)
+            total = value = math.inf
+        # Positive arguments give a sum in [0, inf]. Where it is not a normal
+        # double, it has lost digits or range: scale the argument that
+        # dominates the sum to 1.
+        lost = (total < sys.float_info.min) | (value == math.inf)
         if _any(lost):
-            # x**r or the sum left the float range: scale the argument that
-            # dominates the sum to 1
             s = _where(x > y, x, y) if r > 0.0 else _where(x < y, x, y)
-            value = _where(lost, s * _power_form(r, w, x / s, y / s), value)
+            value = _where(lost, s * _power_sum(r, w, x / s, y / s) ** (1.0 / r), value)
     return _clamped((value,), x, y)[0]
 
 
@@ -234,7 +242,11 @@ def reduce_homogeneous(kind: str, pair, r: float | None = None) -> tuple[float, 
     # sqrt(x*y) wherever x*y is a normal double, so those values keep their
     # bits; a subnormal or infinite product would lose them
     g = math.sqrt(xy) if sys.float_info.min <= xy < math.inf else math.sqrt(x) * math.sqrt(y)
-    rhs = g * evaluate_mean(kind, (math.exp(t), math.exp(-t)), r)
+    try:
+        scaled = (math.exp(t), math.exp(-t))
+    except OverflowError:
+        raise DomainError(f"e^t leaves the float range at t = {t!r}") from None
+    rhs = g * evaluate_mean(kind, scaled, r)
     return t, lhs, rhs
 
 

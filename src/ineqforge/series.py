@@ -10,9 +10,13 @@ The four classical expansions handled here (t in radians):
 plus the coefficient-ratio sequences that drive the monotone-ratio lemmas
 and the composite series the kernel evaluators need for small arguments.
 
-All coefficients are computed once in exact rational arithmetic and cached;
-float tables are produced by a single correctly rounded conversion each, so
-no intermediate (2n)! or 4^n ever lands in a double.
+Each coefficient is c_n = K(n)/(2n)! |B_2n| for a rational law K(n). With
+the tangent numbers T_n (tan t = sum T_n t^(2n-1)/(2n-1)!), |B_2n| is
+2n T_n / (4^n (4^n-1)), so c_n = num(n) T_n / ((4^n-1) (2n-1)! den(n)) with
+num(n)/den(n) = K(n)/4^n. Each float entry is one correctly rounded division
+of two integers, equal to float() of the exact rational, and no (2n)! or 4^n
+ever lands in a double. T_1 .. T_N_MAX come from Brent and Harvey's in-place
+integer recurrence (arXiv:1108.0286), built once on first use.
 """
 
 from __future__ import annotations
@@ -32,28 +36,41 @@ SERIES_IDS = ("csc", "cot", "tan", "csc2")
 
 _RADIUS = {"csc": math.pi, "cot": math.pi, "tan": math.pi / 2, "csc2": math.pi}
 
+# (num(n), den(n)) of each coefficient law, with num(n)/den(n) = K(n)/4^n.
+_LAWS = {
+    "csc": lambda n: (4**n - 2, 4**n),
+    "cot": lambda n: (1, 1),
+    "tan": lambda n: (4**n - 1, 1),
+    "csc2": lambda n: (2 * n - 1, 1),
+    "g_numerator": lambda n: (2 * n + 1, 2 * n),
+    "u5": lambda n: (4**n - 4, 1),
+    "u4": lambda n: (4**n - 2 * n - 2, 1),
+    "g1": lambda n: (4 ** (n - 1) - n, 4**n),
+    "g1_taylor": lambda n: (4**n - 4 * n, 4**n),
+}
+
 
 @lru_cache(maxsize=None)
-def _bernoulli_signed(limit: int) -> tuple[Fraction, ...]:
-    """Signed Bernoulli numbers B_0 .. B_limit by the defining recurrence."""
-    values = [Fraction(0)] * (limit + 1)
-    values[0] = Fraction(1)
-    if limit >= 1:
-        values[1] = Fraction(-1, 2)
-    for m in range(2, limit + 1, 2):
-        acc = Fraction(0)
-        for j in range(m):
-            if values[j]:
-                acc += math.comb(m + 1, j) * values[j]
-        values[m] = -acc / (m + 1)
-    return tuple(values)
+def _tangent_numbers() -> tuple[int, ...]:
+    """T_1 .. T_N_MAX by Brent and Harvey's algorithm TangentNumbers."""
+    t = [0, 1] + [0] * (N_MAX - 1)
+    for k in range(2, N_MAX + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, N_MAX + 1):
+        for j in range(k, N_MAX + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return tuple(t[1:])
+
+
+def _tangent(n: int) -> int:
+    if not isinstance(n, int) or n < 1 or n > N_MAX:
+        raise DomainError(f"n must be an integer in [1, {N_MAX}], got {n!r}")
+    return _tangent_numbers()[n - 1]
 
 
 def bernoulli_abs_exact(n: int) -> Fraction:
     """|B_{2n}| as an exact rational, 1 <= n <= N_MAX."""
-    if not isinstance(n, int) or n < 1 or n > N_MAX:
-        raise DomainError(f"bernoulli_abs: n must be an integer in [1, {N_MAX}], got {n!r}")
-    return abs(_bernoulli_signed(2 * N_MAX)[2 * n])
+    return Fraction(2 * n * _tangent(n), 4**n * (4**n - 1))
 
 
 def bernoulli_abs(n: int) -> float:
@@ -61,25 +78,25 @@ def bernoulli_abs(n: int) -> float:
     return float(bernoulli_abs_exact(n))
 
 
+def _law_terms(law: str, n: int) -> tuple[int, int]:
+    """Numerator and denominator of c_n under one law, not reduced."""
+    tangent = _tangent(n)  # checks n before a law evaluates it
+    num, den = _LAWS[law](n)
+    return num * tangent, (4**n - 1) * math.factorial(2 * n - 1) * den
+
+
 def _coeff_exact(series_id: str, n: int) -> Fraction:
     """Exact magnitude of the n-th coefficient of one of the four series."""
-    b = bernoulli_abs_exact(n)
-    fact = math.factorial(2 * n)
-    four_n = 4**n
-    if series_id == "csc":
-        return Fraction(four_n - 2, fact) * b
-    if series_id == "cot":
-        return Fraction(four_n, fact) * b
-    if series_id == "tan":
-        return Fraction((four_n - 1) * four_n, fact) * b
-    if series_id == "csc2":
-        return Fraction((2 * n - 1) * four_n, fact) * b
-    raise DomainError(f"unknown series id {series_id!r}; expected one of {SERIES_IDS}")
+    if series_id not in SERIES_IDS:
+        raise DomainError(f"unknown series id {series_id!r}; expected one of {SERIES_IDS}")
+    return Fraction(*_law_terms(series_id, n))
 
 
 @lru_cache(maxsize=None)
-def _coeff_table(series_id: str) -> tuple[float, ...]:
-    return tuple(float(_coeff_exact(series_id, n)) for n in range(1, N_MAX + 1))
+def _coeff_table(law: str, first: int = 1) -> tuple[float, ...]:
+    """c_first .. c_N_MAX; CPython rounds int / int correctly, as float(Fraction) does."""
+    terms = (_law_terms(law, n) for n in range(first, N_MAX + 1))
+    return tuple(num / den for num, den in terms)
 
 
 def series_eval(series_id: str, t: float, tol: float = 1e-14) -> tuple[float, int]:
@@ -191,9 +208,8 @@ def m6_coeff_ratio_exact(n: int) -> Fraction:
 
 def m5_g1_coefficients(n: int) -> float:
     """Displayed coefficient (4^(n-1) - n)/(2n)! * |B_2n|; zero only at n = 1."""
-    if not isinstance(n, int) or n < 1:
-        raise DomainError("m5_g1_coefficients: n must be a positive integer")
-    return float(Fraction(4 ** (n - 1) - n, math.factorial(2 * n)) * bernoulli_abs_exact(n))
+    num, den = _law_terms("g1", n)
+    return num / den
 
 
 def m5_g1_taylor_coefficient(n: int) -> float:
@@ -204,9 +220,8 @@ def m5_g1_taylor_coefficient(n: int) -> float:
     pieces. Verified by Taylor matching (see tests). Sign behaviour is
     identical either way.
     """
-    if not isinstance(n, int) or n < 1:
-        raise DomainError("m5_g1_taylor_coefficient: n must be a positive integer")
-    return float(Fraction(4**n - 4 * n, math.factorial(2 * n)) * bernoulli_abs_exact(n))
+    num, den = _law_terms("g1_taylor", n)
+    return num / den
 
 
 # ---------------------------------------------------------------------------
@@ -214,48 +229,32 @@ def m5_g1_taylor_coefficient(n: int) -> float:
 # All magnitudes; callers apply signs.
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def tcm1_coefficients() -> tuple[float, ...]:
     """t*cot(t) - 1 = -sum c_n t^(2n) with c_n = 4^n/(2n)! |B_2n|."""
-    return tuple(
-        float(Fraction(4**n, math.factorial(2 * n)) * bernoulli_abs_exact(n))
-        for n in range(1, N_MAX + 1)
-    )
+    return _coeff_table("cot")
 
 
-@lru_cache(maxsize=None)
 def g_numerator_coefficients() -> tuple[float, ...]:
     """ln(sin t / t) + t*cot(t) - 1 = -sum c_n t^(2n), all same sign.
 
     c_n = 4^n (2n+1)/(2n (2n)!) |B_2n|; the ln-sinc part contributes the
     1/(2n) and the cotangent part the rest, so the two pieces never cancel.
     """
-    return tuple(
-        float(Fraction(4**n * (2 * n + 1), 2 * n * math.factorial(2 * n)) * bernoulli_abs_exact(n))
-        for n in range(1, N_MAX + 1)
-    )
+    return _coeff_table("g_numerator")
 
 
-@lru_cache(maxsize=None)
 def u5_coefficients() -> tuple[float, ...]:
     """3(t cot t - 1) + t tan t = sum_{n>=2} c_n t^(2n), c_n = 4^n(4^n-4)/(2n)! |B_2n|.
 
     Table starts at n = 2 (the n = 1 coefficient vanishes identically).
     """
-    return tuple(
-        float(Fraction(4**n * (4**n - 4), math.factorial(2 * n)) * bernoulli_abs_exact(n))
-        for n in range(2, N_MAX + 1)
-    )
+    return _coeff_table("u5", 2)
 
 
-@lru_cache(maxsize=None)
 def u4_coefficients() -> tuple[float, ...]:
     """2 t cot t - t^2/sin^2 t + t tan t - 1 = sum_{n>=2} c_n t^(2n).
 
     c_n = 4^n (4^n - 2n - 2)/(2n)! |B_2n|, n >= 2; u5/u4 coefficient ratio
     is exactly m6_coeff_ratio(n).
     """
-    return tuple(
-        float(Fraction(4**n * (4**n - 2 * n - 2), math.factorial(2 * n)) * bernoulli_abs_exact(n))
-        for n in range(2, N_MAX + 1)
-    )
+    return _coeff_table("u4", 2)

@@ -168,6 +168,16 @@ def test_means_json_round_trip(capsys, tmp_path):
     assert len(payload) == 12
 
 
+def test_means_with_a_subnormal_argument(capsys, tmp_path):
+    target = tmp_path / "means.json"
+    code, out, err = run(capsys, "means", "--a", "1.7e308", "--b", "5e-324", "--json", str(target))
+    assert code == 0, err
+    payload = json.loads(target.read_text())
+    # I is about a/e; exp(h) alone would overflow
+    assert payload["I"] == pytest.approx(6.2539504999145192e307, rel=1e-12)
+    assert all(5e-324 <= v <= 1.7e308 for v in payload.values())
+
+
 def test_means_rejects_bad_pair(capsys):
     code, out, err = run(capsys, "means", "--a", "-1", "--b", "3")
     assert code == 2

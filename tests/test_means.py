@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -257,11 +258,11 @@ def test_means_finite_internal_and_symmetric_across_the_float_range(x, y):
 def test_extreme_pairs_stay_finite():
     top = M.mean_bundle(1.7e308, 1.6e308)
     assert all(1.6e308 <= v <= 1.7e308 for v in top.values()), top
-    # x*y overflows at the first pair and is subnormal at the other two; the
-    # last takes r = 0.5 since the power mean loses digits where x**r is subnormal
-    for pair, order in (((1e308, 1e300), 2.0), ((1e-160, 1e-160), 2.0), ((3e-160, 1e-160), 0.5)):
+    # x*y overflows at the first pair and is subnormal at the other two, and
+    # x**2 is subnormal at the last
+    for pair in ((1e308, 1e300), (1e-160, 1e-160), (3e-160, 1e-160)):
         for kind in M.MEAN_KINDS:
-            r = order if kind == "power" else None
+            r = 2.0 if kind == "power" else None
             _, lhs, rhs = M.reduce_homogeneous(kind, pair, r)
             # L and I lose about ratio * eps through atanh((x-y)/(x+y))
             assert math.isfinite(rhs) and rhs == pytest.approx(lhs, rel=1e-8, abs=0.0), (pair, kind)
@@ -275,7 +276,7 @@ def test_extreme_pairs_stay_finite():
 
 def test_overflow_guards_keep_in_range_values_bit_identical():
     # Q, J, K from halves keep the bits of the plain forms, and the power
-    # mean is rescaled only where its plain form leaves the float range
+    # mean is rescaled only where its sum of powers is not a normal double
     rng = random.Random(11)
     for _ in range(2000):
         x = 10 ** rng.uniform(-90, 90)
@@ -286,3 +287,47 @@ def test_overflow_guards_keep_in_range_values_bit_identical():
         assert bundle["J"] == a * math.exp((a + g) / p - 2.0)
         assert bundle["K"] == q * math.exp((q + a) / t - 2.0)
         assert M.weighted_power_mean(3.0, 0.5, x, y) == (0.5 * x ** 3 + 0.5 * y ** 3) ** (1 / 3)
+        assert M.weighted_power_mean(-2.0, 0.5, x, y) == (0.5 * x ** -2 + 0.5 * y ** -2) ** -0.5
+    # so does I past a ratio of 2**53, where exp(h) does not overflow
+    for _ in range(2000):
+        y = 10 ** rng.uniform(-300, 100)
+        x = min(y * 10 ** rng.uniform(17, 300), 1e308)
+        h = 0.5 * abs(math.log(x) - math.log(y)) - 1.0
+        assert M.mean_bundle(x, y)["I"] == math.sqrt(x) * math.sqrt(y) * math.exp(h)
+
+
+def _identric_mp(x, y):
+    with mp.workdps(40):
+        x, y = mp.mpf(x), mp.mpf(y)
+        return mp.exp((x * mp.log(x) - y * mp.log(y)) / (x - y) - 1)
+
+
+@pytest.mark.parametrize(
+    "x, y", [(1.7e308, 5e-324), (5e-324, 1.7e308), (1e308, 1e-320), (1e308, 1e-310)]
+)
+def test_identric_mean_with_a_subnormal_argument(x, y):
+    # h = atanh(u)/u - 1 passes log(max double) here, so exp(h) alone
+    # overflows although I is about max(x, y)/e; h near 726 carries ~726 eps
+    got = M.mean_bundle(x, y)["I"]
+    assert got == pytest.approx(float(_identric_mp(x, y)), rel=1e-12, abs=0.0)
+    assert M.evaluate_mean("I", (x, y)) == got
+    # the array path gives the same bits and no numpy warning
+    assert M.mean_bundle(np.array([x, 3.0]), np.array([y, 1.0]))["I"][0] == got
+
+
+def test_reduce_homogeneous_rejects_t_past_the_float_range():
+    # t = ln(x/y)/2 is about 727, so e^t is no double
+    with pytest.raises(DomainError, match="e\\^t leaves the float range"):
+        M.reduce_homogeneous("I", (1.7e308, 5e-324))
+    with pytest.raises(DomainError):
+        M.reduce_homogeneous("A", (5e-324, 1.7e308))
+
+
+@pytest.mark.parametrize("r, w, x, y", [(-2.0, 0.5, 1e160, 2e160), (2.0, 0.5, 3e-160, 1e-160),
+                                        (-3.0, 0.25, 1e105, 5e104), (4.0, 0.5, 1e-80, 3e-80)])
+def test_power_mean_where_the_sum_of_powers_is_subnormal(r, w, x, y):
+    with mp.workdps(40):
+        want = (w * mp.mpf(x) ** r + (1 - w) * mp.mpf(y) ** r) ** (1 / mp.mpf(r))
+    got = M.weighted_power_mean(r, w, x, y)
+    assert got == pytest.approx(float(want), rel=4e-16, abs=0.0)
+    assert M.weighted_power_mean(r, w, np.array([x, 2.0]), np.array([y, 1.0]))[0] == got

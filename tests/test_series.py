@@ -6,9 +6,13 @@ applied to the printed coefficient formulas. Everything frozen here was
 computed outside the package.
 """
 
+import functools
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -29,11 +33,19 @@ RADIUS = {"csc": math.pi, "cot": math.pi, "tan": math.pi / 2, "csc2": math.pi}
 
 # --- Bernoulli table ---------------------------------------------------------
 
+@functools.cache
+def mp_bernoulli_abs(n: int) -> Fraction:
+    num, den = mp.bernfrac(2 * n)
+    return abs(Fraction(int(num), int(den)))
+
+
 def test_bernoulli_matches_mpmath_exactly():
-    for n in range(1, 61):
-        num, den = mp.bernfrac(2 * n)
-        want = abs(Fraction(int(num), int(den)))
-        assert S.bernoulli_abs_exact(n) == want, f"n={n}"
+    for n in range(1, S.N_MAX + 1):
+        assert S.bernoulli_abs_exact(n) == mp_bernoulli_abs(n), f"n={n}"
+
+
+def test_tangent_number_spot_values():
+    assert S._tangent_numbers()[:7] == (1, 2, 16, 272, 7936, 353792, 22368256)
 
 
 def test_bernoulli_top_of_table():
@@ -69,6 +81,64 @@ COEFF_SPOTS = {
 def test_leading_coefficients(sid):
     for n, want in enumerate(COEFF_SPOTS[sid], start=1):
         assert S._coeff_exact(sid, n) == want, f"{sid} n={n}"
+
+
+# Each float table against its printed law K(n)/(2n)! |B_2n|, with |B_2n| from
+# mpmath: (table, first n, K).
+TABLE_LAWS = {
+    "csc": (lambda: S._coeff_table("csc"), 1, lambda n: 4**n - 2),
+    "cot": (lambda: S._coeff_table("cot"), 1, lambda n: 4**n),
+    "tan": (lambda: S._coeff_table("tan"), 1, lambda n: (4**n - 1) * 4**n),
+    "csc2": (lambda: S._coeff_table("csc2"), 1, lambda n: (2 * n - 1) * 4**n),
+    "tcm1": (S.tcm1_coefficients, 1, lambda n: 4**n),
+    "g_numerator": (S.g_numerator_coefficients, 1, lambda n: Fraction(4**n * (2 * n + 1), 2 * n)),
+    "u5": (S.u5_coefficients, 2, lambda n: 4**n * (4**n - 4)),
+    "u4": (S.u4_coefficients, 2, lambda n: 4**n * (4**n - 2 * n - 2)),
+}
+
+
+def printed_law(law, n: int) -> Fraction:
+    return law(n) / Fraction(math.factorial(2 * n)) * mp_bernoulli_abs(n)
+
+
+@pytest.mark.parametrize("name", TABLE_LAWS)
+def test_float_tables_round_their_exact_law_once(name):
+    table, first, law = TABLE_LAWS[name]
+    values = table()
+    assert len(values) == S.N_MAX - first + 1
+    for n, value in enumerate(values, start=first):
+        assert value == float(printed_law(law, n)), f"{name} n={n}"
+
+
+@pytest.mark.parametrize("sid", S.SERIES_IDS)
+def test_exact_coefficients_follow_the_printed_law(sid):
+    law = TABLE_LAWS[sid][2]
+    for n in range(1, S.N_MAX + 1):
+        assert S._coeff_exact(sid, n) == printed_law(law, n), f"{sid} n={n}"
+
+
+def test_g1_coefficients_round_their_exact_law_once():
+    for n in range(1, S.N_MAX + 1):
+        assert S.m5_g1_coefficients(n) == float(printed_law(lambda k: 4 ** (k - 1) - k, n))
+        assert S.m5_g1_taylor_coefficient(n) == float(printed_law(lambda k: 4**k - 4 * k, n))
+
+
+def test_import_and_catalog_load_build_no_series_table():
+    # the tables are built on first use, so their cost cannot move into
+    # import or catalog set-up unseen
+    code = (
+        "import ineqforge\n"
+        "from ineqforge import series\n"
+        "ineqforge.load_catalog()\n"
+        "print(series._tangent_numbers.cache_info().currsize,"
+        " series._coeff_table.cache_info().currsize)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={"PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert out.stdout.split() == ["0", "0"]
 
 
 def test_coeff_unknown_id():
