@@ -3,7 +3,12 @@
 Chain and probe definitions live in ``data/chains.json`` as plain expression
 strings.  This module compiles those strings into callables through a small
 AST whitelist, so the data file stays declarative without pulling in a full
-parser dependency.
+parser dependency.  A catalog load compiles each distinct expression once.
+
+The M6 exponent family is written as templates with the exponent as a slot:
+filled with the exponent's literal they are the printed members and probe
+sides, and filled with the name ``q`` they are compiled once and bound to
+each exponent, so building a regime chain compiles nothing.
 """
 
 from __future__ import annotations
@@ -11,8 +16,9 @@ from __future__ import annotations
 import ast
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from importlib import resources
 from types import MappingProxyType
 from typing import Callable, Mapping
@@ -111,13 +117,15 @@ def compile_expression(expr: str, args: tuple[str, ...]) -> Callable:
     return eval(source, {"__builtins__": {}, **env})  # noqa: S307 - input is whitelisted
 
 
-def evaluate_constant_expression(expr: str) -> float:
+def evaluate_constant_expression(expr: str, compile_fn: Callable = compile_expression) -> float:
     """Evaluate a zero-argument expression such as a domain endpoint.
 
-    Arithmetic failures and non-finite or non-real results are CatalogErrors.
+    ``compile_fn`` has compile_expression's signature; load_catalog passes
+    one that compiles each distinct expression once. Arithmetic failures and
+    non-finite or non-real results are CatalogErrors.
     """
     try:
-        value = float(compile_expression(expr, ())())
+        value = float(compile_fn(expr, ())())
     except (ArithmeticError, ValueError, TypeError) as exc:
         raise CatalogError(f"cannot evaluate expression {expr!r}: {exc}") from exc
     if not math.isfinite(value):
@@ -163,7 +171,7 @@ class Probe:
     rhs_fn: Callable
 
 
-def _build_chain(record: dict) -> Chain:
+def _build_chain(record: dict, compile_fn: Callable = compile_expression) -> Chain:
     chain_id = record["id"]
     kind = record["kind"]
     members = tuple(record["members"])
@@ -173,11 +181,11 @@ def _build_chain(record: dict) -> Chain:
         raise CatalogError(f"chain {chain_id!r} needs at least two members")
     if kind == "kernel":
         lo_s, hi_s = record["domain"]
-        lo = evaluate_constant_expression(lo_s)
-        hi = evaluate_constant_expression(hi_s)
+        lo = evaluate_constant_expression(lo_s, compile_fn)
+        hi = evaluate_constant_expression(hi_s, compile_fn)
         if not lo < hi:
             raise CatalogError(f"chain {chain_id!r} has empty domain")
-        fns = tuple(compile_expression(m, ("t",)) for m in members)
+        fns = tuple(compile_fn(m, ("t",)) for m in members)
         return Chain(id=chain_id, kind=kind, members=members, member_fns=fns, domain=(lo, hi))
     substitution = record["substitution"]
     if substitution not in ("arcsin", "arctan"):
@@ -190,8 +198,8 @@ def _build_chain(record: dict) -> Chain:
         raise CatalogError(
             f"chain {chain_id!r} has {len(twins)} twin members for {len(members)} members"
         )
-    fns = tuple(compile_expression(m, MEAN_VARS) for m in members)
-    twin_fns = tuple(compile_expression(m, ("t",)) for m in twins)
+    fns = tuple(compile_fn(m, MEAN_VARS) for m in members)
+    twin_fns = tuple(compile_fn(m, ("t",)) for m in twins)
     return Chain(
         id=chain_id,
         kind=kind,
@@ -199,13 +207,13 @@ def _build_chain(record: dict) -> Chain:
         member_fns=fns,
         substitution=substitution,
         scale=scale,
-        scale_fn=compile_expression(scale, MEAN_VARS),
+        scale_fn=compile_fn(scale, MEAN_VARS),
         twin_members=twins,
         twin_fns=twin_fns,
     )
 
 
-def _build_probe(record: dict) -> Probe:
+def _build_probe(record: dict, compile_fn: Callable = compile_expression) -> Probe:
     probe_id = record["id"]
     direction = record["direction"]
     region = record["region"]
@@ -214,12 +222,12 @@ def _build_probe(record: dict) -> Probe:
     if region not in _REGIONS:
         raise CatalogError(f"probe {probe_id!r} has unknown region {region!r}")
     lo_s, hi_s = record["domain"]
-    lo = evaluate_constant_expression(lo_s)
-    hi = evaluate_constant_expression(hi_s)
+    lo = evaluate_constant_expression(lo_s, compile_fn)
+    hi = evaluate_constant_expression(hi_s, compile_fn)
     if not lo < hi:
         raise CatalogError(f"probe {probe_id!r} has empty domain")
     base = record["base"]
-    base_value = evaluate_constant_expression(base)
+    base_value = evaluate_constant_expression(base, compile_fn)
     return Probe(
         id=probe_id,
         chain=record["chain"],
@@ -230,8 +238,8 @@ def _build_probe(record: dict) -> Probe:
         base_value=base_value,
         direction=direction,
         region=region,
-        lhs_fn=compile_expression(record["lhs"], ("p", "t")),
-        rhs_fn=compile_expression(record["rhs"], ("p", "t")),
+        lhs_fn=compile_fn(record["lhs"], ("p", "t")),
+        rhs_fn=compile_fn(record["rhs"], ("p", "t")),
     )
 
 
@@ -273,18 +281,30 @@ class Catalog:
 
 @lru_cache(maxsize=1)
 def load_catalog() -> Catalog:
-    """Load and compile the packaged chain catalog (cached)."""
+    """Load and compile the packaged chain catalog (cached).
+
+    Each distinct (expression, arguments) pair is compiled once per load:
+    many chains share members, domain endpoints and probe sides.
+    """
     raw = resources.files("ineqforge.data").joinpath("chains.json").read_text("utf-8")
     data = json.loads(raw)
+    compiled: dict[tuple[str, tuple[str, ...]], Callable] = {}
+
+    def compile_once(expr: str, args: tuple[str, ...]) -> Callable:
+        key = (expr, args)
+        if key not in compiled:
+            compiled[key] = compile_expression(expr, args)
+        return compiled[key]
+
     chains: dict[str, Chain] = {}
     for record in data["chains"]:
-        chain = _build_chain(record)
+        chain = _build_chain(record, compile_once)
         if chain.id in chains:
             raise CatalogError(f"duplicate chain id {chain.id!r}")
         chains[chain.id] = chain
     probes: dict[str, Probe] = {}
     for record in data["probes"]:
-        probe = _build_probe(record)
+        probe = _build_probe(record, compile_once)
         if probe.id in probes:
             raise CatalogError(f"duplicate probe id {probe.id!r}")
         if probe.chain not in chains:
@@ -293,17 +313,53 @@ def load_catalog() -> Catalog:
     return Catalog(chains, probes)
 
 
-def _m6_regime(p: float) -> str:
-    if p != p or p in (math.inf, -math.inf):
-        raise CatalogError(f"exponent must be finite, got {p!r}")
-    if p >= 1.2:
-        return "high"
-    if 0 < p <= 1:
-        return "unit"
-    if p < 0:
-        return "negative"
+# The M6 family, each form written once with the exponent as the slot {q}.
+_M6_ALPHA = "(1-exp(-{q}))*cos(t)**{q}+exp(-{q})"
+_M6_THIRD = "(2/3)*cos(t)**{q}+1/3"
+_M6_MIDDLE = "exp_tcot(t)**{q}"
+_M6_ONE = "1"
+_M6_COMBO = "p*cos(t)**{q}+(1-p)"
+_M6_TWO_THIRDS = ("2/3", 2.0 / 3.0)
+
+
+@lru_cache(maxsize=1)
+def _m6_compiled() -> tuple[Mapping[str, Callable], Mapping[str, Callable]]:
+    """The M6 templates compiled with the exponent q as leading argument:
+    chain members as functions of (q, t), probe sides of (q, p, t)."""
+    members = {
+        form: compile_expression(form.format(q="q"), ("q", "t"))
+        for form in (_M6_ALPHA, _M6_THIRD, _M6_MIDDLE, _M6_ONE)
+    }
+    sides = {
+        form: compile_expression(form.format(q="q"), ("q", "p", "t"))
+        for form in (_M6_COMBO, _M6_MIDDLE)
+    }
+    return MappingProxyType(members), MappingProxyType(sides)
+
+
+def _m6_exponent(p: float) -> tuple[float, str, str]:
+    """The exponent as a float, the literal that names it, and its regime.
+
+    A plain int or float is named by its repr; any other real number, such
+    as a numpy scalar whose repr is a call, by the repr of its float value.
+    """
+    if not isinstance(p, numbers.Real):
+        raise CatalogError(f"exponent must be a real number, got {p!r}")
+    try:
+        q = float(p)
+    except OverflowError:
+        raise CatalogError(f"exponent must be finite, got {p!r}") from None
+    literal = repr(p) if type(p) in (int, float) else repr(q)
+    if not math.isfinite(q):
+        raise CatalogError(f"exponent must be finite, got {literal}")
+    if q >= 1.2:
+        return q, literal, "high"
+    if 0 < q <= 1:
+        return q, literal, "unit"
+    if q < 0:
+        return q, literal, "negative"
     raise CatalogError(
-        f"no two-sided optimal form for exponent p={p!r}; "
+        f"no two-sided optimal form for exponent p={literal}; "
         "supported ranges are p >= 6/5, 0 < p <= 1, p < 0"
     )
 
@@ -315,23 +371,21 @@ def make_m6_chain(p: float) -> Chain:
     outside them (p == 0 or 1 < p < 6/5) no two-sided form exists and
     CatalogError is raised.
     """
-    regime = _m6_regime(p)
-    alpha_form = f"(1-exp(-{p!r}))*cos(t)**{p!r}+exp(-{p!r})"
-    third_form = f"(2/3)*cos(t)**{p!r}+1/3"
-    middle = f"exp_tcot(t)**{p!r}"
+    q, literal, regime = _m6_exponent(p)
     if regime == "high":
-        members = (alpha_form, middle, third_form)
+        forms = (_M6_ALPHA, _M6_MIDDLE, _M6_THIRD)
     elif regime == "unit":
-        members = (third_form, middle, alpha_form)
+        forms = (_M6_THIRD, _M6_MIDDLE, _M6_ALPHA)
     else:
-        members = ("1", middle, third_form)
-    record = {
-        "id": f"M6(p={p!r})",
-        "kind": "kernel",
-        "domain": ("0", "pi/2"),
-        "members": list(members),
-    }
-    return _build_chain(record)
+        forms = (_M6_ONE, _M6_MIDDLE, _M6_THIRD)
+    compiled = _m6_compiled()[0]
+    return Chain(
+        id=f"M6(p={literal})",
+        kind="kernel",
+        members=tuple(form.format(q=literal) for form in forms),
+        member_fns=tuple(partial(compiled[form], q) for form in forms),
+        domain=(0.0, math.pi / 2),
+    )
 
 
 def m6_probe_specs(p: float) -> list[Probe]:
@@ -341,40 +395,41 @@ def m6_probe_specs(p: float) -> list[Probe]:
     exponent; each regime nudges it across its optimal value toward the
     region where the bound degenerates.
     """
-    regime = _m6_regime(p)
-    combo = f"p*cos(t)**{p!r}+(1-p)"
-    middle = f"exp_tcot(t)**{p!r}"
-    alpha_base = f"1-exp(-{p!r})"
-    if regime == "high":
+    q, literal, regime = _m6_exponent(p)
+    if regime == "negative":
         specs = [
-            (f"M6(p={p!r})-alpha", combo, middle, alpha_base, "-", "near_right"),
-            (f"M6(p={p!r})-beta", middle, combo, "2/3", "+", "near_zero"),
-        ]
-    elif regime == "unit":
-        specs = [
-            (f"M6(p={p!r})-alpha", combo, middle, "2/3", "-", "near_zero"),
-            (f"M6(p={p!r})-beta", middle, combo, alpha_base, "+", "near_right"),
+            ("alpha", _M6_COMBO, _M6_MIDDLE, ("0", 0.0), "+", "near_right"),
+            ("beta", _M6_MIDDLE, _M6_COMBO, _M6_TWO_THIRDS, "-", "near_zero"),
         ]
     else:
-        specs = [
-            (f"M6(p={p!r})-alpha", combo, middle, "0", "+", "near_right"),
-            (f"M6(p={p!r})-beta", middle, combo, "2/3", "-", "near_zero"),
-        ]
-    chain_id = f"M6(p={p!r})"
+        alpha_base = (f"1-exp(-{literal})", 1.0 - math.exp(-q))
+        if regime == "high":
+            specs = [
+                ("alpha", _M6_COMBO, _M6_MIDDLE, alpha_base, "-", "near_right"),
+                ("beta", _M6_MIDDLE, _M6_COMBO, _M6_TWO_THIRDS, "+", "near_zero"),
+            ]
+        else:
+            specs = [
+                ("alpha", _M6_COMBO, _M6_MIDDLE, _M6_TWO_THIRDS, "-", "near_zero"),
+                ("beta", _M6_MIDDLE, _M6_COMBO, alpha_base, "+", "near_right"),
+            ]
+    compiled = _m6_compiled()[1]
+    chain_id = f"M6(p={literal})"
     return [
-        _build_probe(
-            {
-                "id": probe_id,
-                "chain": chain_id,
-                "domain": ("0", "pi/2"),
-                "lhs": lhs,
-                "rhs": rhs,
-                "base": base,
-                "direction": direction,
-                "region": region,
-            }
+        Probe(
+            id=f"{chain_id}-{name}",
+            chain=chain_id,
+            domain=(0.0, math.pi / 2),
+            lhs=lhs.format(q=literal),
+            rhs=rhs.format(q=literal),
+            base=base,
+            base_value=base_value,
+            direction=direction,
+            region=region,
+            lhs_fn=partial(compiled[lhs], q),
+            rhs_fn=partial(compiled[rhs], q),
         )
-        for probe_id, lhs, rhs, base, direction, region in specs
+        for name, lhs, rhs, (base, base_value), direction, region in specs
     ]
 
 

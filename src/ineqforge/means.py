@@ -5,15 +5,18 @@ logarithmic L, identric I, the unweighted power mean of order r, the two
 arc-based means P (arcsine) and T (arctangent), and the four exponential
 combinations X, B, J, K built from them.
 
-L and I are assembled from atanh((x-y)/(x+y)) so that nearly equal
-arguments lose no precision; the same even ratio powers both, so the two
-stay mutually consistent to the last bit. All means return x exactly when
+L and I are assembled from atanh(u)/u with u = (x-y)/(x+y), which both
+share, so the two stay mutually consistent to the last bit. Below |u| = 0.2
+it is an even power series, so nearly equal arguments lose no precision;
+above, atanh(|u|) is taken as |log(x/y)|/2, because u rounded near 1
+carries too few digits of the ratio. All means return x exactly when
 x == y, and switch to quadratic small-ratio forms when |x-y|/(x+y) drops
 below 1e-7. A, G, Q and the sums inside J and K are built from halves and
 square roots, the power mean is rescaled where its sum of powers is not a
-normal double, and I takes its exponential in two halves where one would
-overflow. So every pair of positive doubles of which at most one is
-subnormal has finite means.
+normal double, I takes its exponential in two halves where one would
+overflow, and a pair that lies wholly below 2**-1021 is scaled up by an
+exact power of two and its means scaled back. So every pair of positive
+doubles has finite means.
 Each mean is held inside [min(x, y), max(x, y)].
 
 mean_bundle and weighted_power_mean also take numpy arrays (either
@@ -39,6 +42,10 @@ _BUNDLE_KINDS = ("A", "G", "Q", "L", "I", "P", "T", "X", "B", "J", "K")
 _SQRT2 = math.sqrt(2.0)
 _NEAR_DEGENERATE = 1e-7
 _LOG_MAX = math.log(sys.float_info.max)
+# Halving a double of at least 2**-1021 is exact; a pair wholly below it is
+# scaled by 2**1000 into the normal range, which no mean leaves.
+_TINY = 2.0 ** -1021
+_UP = 2.0 ** 1000
 
 
 def _real(value):
@@ -82,13 +89,30 @@ def _clamped(values, x, y) -> list:
     return list(values)
 
 
-def _atanh_over_u_minus1(u):
-    """atanh(u)/u - 1 for |u| < 1, series below 0.2 to keep it fully relative."""
-    return _piecewise(abs(u) < 0.2, _atanh_series, _atanh_direct, u)
+def _atanh_over_u_minus1(u, d):
+    """atanh(u)/u - 1 for u = (x-y)/(x+y) and d = |log(x/y)|: a series below
+    |u| = 0.2 keeps it fully relative, and above it atanh(|u|) is d/2, which
+    keeps the digits u loses where it rounds near 1."""
+    return _piecewise(abs(u) < 0.2, lambda u, d: _atanh_series(u), _atanh_from_logs, u, d)
 
 
-def _atanh_direct(u):
-    return _xp(u).atanh(u) / u - 1.0
+def _atanh_from_logs(u, d):
+    return d / (2.0 * abs(u)) - 1.0
+
+
+def _log_ratio(x, y, edge):
+    """|log(x/y)|, the same for (x, y) and (y, x).
+
+    The logarithm of the quotient loses nothing to cancellation where x and
+    y lie far from 1. At the ``edge`` points, past a ratio of about 2**54,
+    the quotient can overflow, and there the two logarithms are taken apart.
+    """
+    m = _xp(x, y)
+    swap = x < y
+    hi, lo = _where(swap, y, x), _where(swap, x, y)
+    if not _any(edge):
+        return m.log(hi / lo)
+    return _where(edge, m.log(hi) - m.log(lo), m.log(hi / _where(edge, hi, lo)))
 
 
 def _atanh_series(u):
@@ -151,18 +175,15 @@ def _bundle_values(x, y) -> tuple:
     m = _xp(x, y)
     a, g, q = _agq(x, y)
     u = (0.5 * x - 0.5 * y) / a
-    # Past a ratio of 2**53 u rounds to +-1, where atanh(u) is infinite but
-    # atanh(u)/u is |log(x/y)|/2.
+    # past a ratio of about 2**54 u rounds to +-1
     edge = abs(u) == 1.0
+    h = _atanh_over_u_minus1(u, _log_ratio(x, y, edge))
     if _any(edge):
-        h = _atanh_over_u_minus1(_where(edge, 0.0, u))
-        h = _where(edge, 0.5 * abs(m.log(x) - m.log(y)) - 1.0, h)
         # Past h = log(max double), which takes a subnormal argument, exp(h)
         # overflows though I does not; there it is taken in two halves.
         half = _where(h > _LOG_MAX, 0.5 * h, 0.0)
         im = g * m.exp(h - half) * m.exp(half)
     else:
-        h = _atanh_over_u_minus1(u)
         im = g * m.exp(h)
     lm = a / (1.0 + h)
     p, t, xm, jm, bm, km = _piecewise(
@@ -171,10 +192,21 @@ def _bundle_values(x, y) -> tuple:
     return (a, g, q, lm, im, p, t, xm, bm, jm, km)
 
 
+def _homogeneous(means, x, y) -> tuple:
+    """means(x, y) of a valid pair, scaled into the normal range where both
+    arguments lie below _TINY: there halves and quotients lose digits or
+    vanish. Every mean is homogeneous of degree one, so the results are
+    scaled back by the same power of two; other points keep their bits."""
+    if not (_any(x < _TINY) and _any(y < _TINY)):
+        return means(x, y)
+    s = _where((x < _TINY) & (y < _TINY), _UP, 1.0)
+    return tuple(v / s for v in means(x * s, y * s))
+
+
 def mean_bundle(x, y) -> dict:
     """All eleven non-parametric means of (x, y) computed in one pass."""
     x, y = _validate_pair((x, y))
-    return dict(zip(_BUNDLE_KINDS, _clamped(_bundle_values(x, y), x, y)))
+    return dict(zip(_BUNDLE_KINDS, _clamped(_homogeneous(_bundle_values, x, y), x, y)))
 
 
 def _power_sum(r: float, w: float, x, y):
@@ -225,7 +257,7 @@ def evaluate_mean(kind: str, pair, r: float | None = None) -> float:
             raise DomainError("mean kind 'power' requires the order r")
         return weighted_power_mean(r, 0.5, x, y)
     # A, G and Q lead _BUNDLE_KINDS and need neither atanh nor the arc means
-    values = _agq(x, y) if kind in ("A", "G", "Q") else _bundle_values(x, y)
+    values = _homogeneous(_agq if kind in ("A", "G", "Q") else _bundle_values, x, y)
     return _clamped((values[_BUNDLE_KINDS.index(kind)],), x, y)[0]
 
 

@@ -1,7 +1,9 @@
 """Chain catalog: JSON loading, expression compilation, parametric builders."""
 
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,6 +42,29 @@ def test_get_chain_error_lists_ids():
     assert "M1" in str(err.value)
     with pytest.raises(CatalogError):
         cat.get_probe("nope")
+
+
+def test_load_compiles_each_distinct_expression_once(monkeypatch):
+    calls = Counter()
+    compile_expression = C.compile_expression
+
+    def counted(expr, args):
+        calls[expr, args] += 1
+        return compile_expression(expr, args)
+
+    monkeypatch.setattr(C, "compile_expression", counted)
+    C.load_catalog.cache_clear()
+    try:
+        cat = C.load_catalog()
+    finally:
+        C.load_catalog.cache_clear()
+    assert set(calls.values()) == {1}
+    # every member and probe side came through the counted compiler
+    for chain in cat.chains.values():
+        args = ("t",) if chain.kind == "kernel" else C.MEAN_VARS
+        assert all((m, args) in calls for m in chain.members), chain.id
+    for probe in cat.probes.values():
+        assert (probe.lhs, ("p", "t")) in calls and (probe.rhs, ("p", "t")) in calls
 
 
 # --- expression compilation -----------------------------------------------------
@@ -165,6 +190,68 @@ def test_m6_probe_specs_by_regime():
     assert neg["alpha"].base_value == 0.0
     assert neg["alpha"].direction == "+"
     assert neg["beta"].base_value == pytest.approx(2.0 / 3.0)
+
+
+_M6_EXPONENTS = [2.0, 1.2, 1.0, 0.5, 1e-3, -1e-3, -1.0, -3, 3.7, 40.0, 2]
+_T_POINTS = [1e-9, 0.3, math.pi / 4, 1.2, 1.5707]
+_T_GRID = np.linspace(0.0, math.pi / 2, 20001)[1:-1]
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("p", _M6_EXPONENTS, ids=repr)
+def test_m6_templates_match_a_fresh_compile_of_the_printed_strings(p):
+    chain = C.make_m6_chain(p)
+    assert chain.id == f"M6(p={p!r})"
+    assert chain.domain == (C.evaluate_constant_expression("0"),
+                            C.evaluate_constant_expression("pi/2"))
+    for member, fn in zip(chain.members, chain.member_fns):
+        fresh = C.compile_expression(member, ("t",))
+        for t in _T_POINTS:
+            assert _same_bits(fn(t), fresh(t)), (member, t)
+        assert _same_bits(fn(_T_GRID), fresh(_T_GRID)), member
+    probes = C.m6_probe_specs(p)
+    assert [pr.id for pr in probes] == [f"{chain.id}-alpha", f"{chain.id}-beta"]
+    for probe in probes:
+        assert probe.chain == chain.id and probe.domain == chain.domain
+        assert _same_bits(probe.base_value, C.evaluate_constant_expression(probe.base))
+        for side, fn in ((probe.lhs, probe.lhs_fn), (probe.rhs, probe.rhs_fn)):
+            fresh = C.compile_expression(side, ("p", "t"))
+            for coef in (probe.base_value - 1e-3, probe.base_value, probe.base_value + 1e-3):
+                for t in _T_POINTS:
+                    assert _same_bits(fn(coef, t), fresh(coef, t)), (side, coef, t)
+                assert _same_bits(fn(coef, _T_GRID), fresh(coef, _T_GRID)), (side, coef)
+
+
+def test_m6_builders_compile_nothing_once_warm(monkeypatch):
+    C.make_m6_chain(2.0)
+    C.m6_probe_specs(2.0)
+
+    def refuse(expr, args):
+        raise AssertionError(f"compiled {expr!r}")
+
+    monkeypatch.setattr(C, "compile_expression", refuse)
+    for p in (3.3, 0.7, -2.5):
+        assert len(C.make_m6_chain(p).member_fns) == 3
+        assert len(C.m6_probe_specs(p)) == 2
+
+
+def test_m6_names_a_non_builtin_exponent_by_its_float_value():
+    plain = C.make_m6_chain(2.0)
+    for p in (np.float64(2.0), np.int64(2)):
+        chain = C.make_m6_chain(p)
+        assert chain.id == "M6(p=2.0)" and chain.members == plain.members
+        assert [pr.id for pr in C.m6_probe_specs(p)] == ["M6(p=2.0)-alpha", "M6(p=2.0)-beta"]
+    assert C.make_m6_chain(2).id == "M6(p=2)"
+    assert C.make_m6_chain(2).members[1] == "exp_tcot(t)**2"
+    for bad in ("2.0", None, 10**400, np.float64("nan")):
+        with pytest.raises(CatalogError):
+            C.make_m6_chain(bad)
+        with pytest.raises(CatalogError):
+            C.m6_probe_specs(bad)
 
 
 def test_flipped_catalog_swaps_one_pair():
