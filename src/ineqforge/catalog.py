@@ -75,8 +75,10 @@ def _shared_env() -> Mapping[str, object]:
     return MappingProxyType(env)
 
 
-def _prepare_tree(expr: str, tree: ast.Expression, allowed_names: frozenset) -> None:
-    """Check the tree against the whitelist and turn every literal into a float."""
+def _prepare_tree(expr: str, tree: ast.Expression, allowed_names: frozenset) -> frozenset:
+    """Check the tree against the whitelist, turn every literal into a float
+    and return the names the expression reads."""
+    names = set()
     for node in ast.walk(tree):
         if not isinstance(node, _ALLOWED_NODES):
             raise CatalogError(
@@ -96,25 +98,31 @@ def _prepare_tree(expr: str, tree: ast.Expression, allowed_names: frozenset) -> 
                 node.value = float(node.value)
             except OverflowError:
                 raise CatalogError(f"literal too large in expression {expr!r}") from None
-        if isinstance(node, ast.Name) and node.id not in allowed_names:
-            raise CatalogError(f"unknown name {node.id!r} in expression {expr!r}")
+        if isinstance(node, ast.Name):
+            if node.id not in allowed_names:
+                raise CatalogError(f"unknown name {node.id!r} in expression {expr!r}")
+            names.add(node.id)
+    return frozenset(names)
 
 
 def compile_expression(expr: str, args: tuple[str, ...]) -> Callable:
     """Compile an expression string into a function of the given arguments.
 
     Only arithmetic, numeric literals, and names from the shared kernel/mean
-    namespace are accepted; anything else raises CatalogError.
+    namespace are accepted; anything else raises CatalogError. The function's
+    ``names`` attribute is the frozenset of names the expression reads.
     """
     env = _shared_env()
     try:
         tree = ast.parse(expr, mode="eval")
     except SyntaxError as exc:
         raise CatalogError(f"cannot parse expression {expr!r}: {exc.msg}") from exc
-    _prepare_tree(expr, tree, frozenset(env) | frozenset(args))
+    names = _prepare_tree(expr, tree, frozenset(env) | frozenset(args))
     body = ast.unparse(tree)
     source = "lambda {}: ({})".format(", ".join(args), body) if args else f"lambda: ({body})"
-    return eval(source, {"__builtins__": {}, **env})  # noqa: S307 - input is whitelisted
+    fn = eval(source, {"__builtins__": {}, **env})  # noqa: S307 - input is whitelisted
+    fn.names = names
+    return fn
 
 
 def evaluate_constant_expression(expr: str, compile_fn: Callable = compile_expression) -> float:
@@ -135,7 +143,11 @@ def evaluate_constant_expression(expr: str, compile_fn: Callable = compile_expre
 
 @dataclass(frozen=True)
 class Chain:
-    """One inequality chain: members are ordered smallest to largest."""
+    """One inequality chain: members are ordered smallest to largest.
+
+    A mean chain's ``mean_kinds`` are the means its members and scale read,
+    in MEAN_VARS order.
+    """
 
     id: str
     kind: str
@@ -147,6 +159,7 @@ class Chain:
     scale_fn: Callable | None = None
     twin_members: tuple[str, ...] | None = None
     twin_fns: tuple[Callable, ...] | None = None
+    mean_kinds: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -199,6 +212,8 @@ def _build_chain(record: dict, compile_fn: Callable = compile_expression) -> Cha
             f"chain {chain_id!r} has {len(twins)} twin members for {len(members)} members"
         )
     fns = tuple(compile_fn(m, MEAN_VARS) for m in members)
+    scale_fn = compile_fn(scale, MEAN_VARS)
+    reads = frozenset().union(*(fn.names for fn in (*fns, scale_fn)))
     twin_fns = tuple(compile_fn(m, ("t",)) for m in twins)
     return Chain(
         id=chain_id,
@@ -207,9 +222,10 @@ def _build_chain(record: dict, compile_fn: Callable = compile_expression) -> Cha
         member_fns=fns,
         substitution=substitution,
         scale=scale,
-        scale_fn=compile_fn(scale, MEAN_VARS),
+        scale_fn=scale_fn,
         twin_members=twins,
         twin_fns=twin_fns,
+        mean_kinds=tuple(v for v in MEAN_VARS if v in reads),
     )
 
 

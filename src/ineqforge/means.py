@@ -21,12 +21,17 @@ Each mean is held inside [min(x, y), max(x, y)].
 
 mean_bundle and weighted_power_mean also take numpy arrays (either
 argument, or both) and evaluate them elementwise, as the kernels do.
+mean_bundle computes only the kinds it is asked for: L and I, the arcsine
+family P, X, J and the arctangent family T, B, K are each skipped unless one
+of their members is named, and no value depends on what else is asked for.
+So a mean chain computes only the means it reads.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from typing import Sequence
 
 from . import kernels
 from .errors import DomainError
@@ -38,6 +43,8 @@ MEAN_KINDS = ("A", "G", "Q", "L", "I", "power", "P", "T", "X", "B", "J", "K")
 POWER_DISPLAY_R = 2.0 / 3.0
 
 _BUNDLE_KINDS = ("A", "G", "Q", "L", "I", "P", "T", "X", "B", "J", "K")
+_ARCSIN_KINDS = ("P", "X", "J")
+_ARCTAN_KINDS = ("T", "B", "K")
 
 _SQRT2 = math.sqrt(2.0)
 _NEAR_DEGENERATE = 1e-7
@@ -141,40 +148,37 @@ def _agq(x, y):
     return a, m.sqrt(x) * m.sqrt(y), m.hypot(0.5 * x, 0.5 * y) / (0.5 * _SQRT2)
 
 
-def _arc_means(a, g, q, u):
-    """P, T, X, J, B, K from A, G, Q and u = (x-y)/(x+y)."""
+def _arcsin_means(a, g, u):
+    """P, X and J from A, G and u = (x-y)/(x+y)."""
     m = _xp(u)
     p = a * u / m.asin(u)
-    t = a * u / m.atan(u)
-    return (
-        p,
-        t,
-        a * m.exp(g / p - 1.0),
-        a * m.exp((0.5 * a + 0.5 * g) / (0.5 * p) - 2.0),
-        q * m.exp(a / t - 1.0),
-        q * m.exp((0.5 * q + 0.5 * a) / (0.5 * t) - 2.0),
-    )
+    return p, a * m.exp(g / p - 1.0), a * m.exp((0.5 * a + 0.5 * g) / (0.5 * p) - 2.0)
 
 
-def _arc_means_near_diagonal(a, g, q, u):
-    """The same six means from their quadratic forms in u, for |u| < 1e-7."""
+def _arcsin_near_diagonal(a, g, u):
+    """P, X and J from their quadratic forms in u, for |u| < 1e-7."""
     m = _xp(u)
     u2 = u * u
-    return (
-        a / (1.0 + u2 / 6.0),
-        a / (1.0 - u2 / 3.0),
-        a * m.exp(-u2 / 3.0),
-        a * m.exp(-u2 / 6.0),
-        q * m.exp(-u2 / 3.0),
-        q * m.exp(-u2 / 6.0),
-    )
+    return a / (1.0 + u2 / 6.0), a * m.exp(-u2 / 3.0), a * m.exp(-u2 / 6.0)
 
 
-def _bundle_values(x, y) -> tuple:
-    """The eleven means of a valid pair in _BUNDLE_KINDS order, unclamped."""
+def _arctan_means(a, q, u):
+    """T, B and K from A, Q and u = (x-y)/(x+y)."""
+    m = _xp(u)
+    t = a * u / m.atan(u)
+    return t, q * m.exp(a / t - 1.0), q * m.exp((0.5 * q + 0.5 * a) / (0.5 * t) - 2.0)
+
+
+def _arctan_near_diagonal(a, q, u):
+    """T, B and K from their quadratic forms in u, for |u| < 1e-7."""
+    m = _xp(u)
+    u2 = u * u
+    return a / (1.0 - u2 / 3.0), q * m.exp(-u2 / 3.0), q * m.exp(-u2 / 6.0)
+
+
+def _log_identric(x, y, a, g, u):
+    """L and I from A, G and u = (x-y)/(x+y)."""
     m = _xp(x, y)
-    a, g, q = _agq(x, y)
-    u = (0.5 * x - 0.5 * y) / a
     # past a ratio of about 2**54 u rounds to +-1
     edge = abs(u) == 1.0
     h = _atanh_over_u_minus1(u, _log_ratio(x, y, edge))
@@ -185,28 +189,50 @@ def _bundle_values(x, y) -> tuple:
         im = g * m.exp(h - half) * m.exp(half)
     else:
         im = g * m.exp(h)
-    lm = a / (1.0 + h)
-    p, t, xm, jm, bm, km = _piecewise(
-        abs(u) < _NEAR_DEGENERATE, _arc_means_near_diagonal, _arc_means, a, g, q, u
-    )
-    return (a, g, q, lm, im, p, t, xm, bm, jm, km)
+    return a / (1.0 + h), im
 
 
-def _homogeneous(means, x, y) -> tuple:
-    """means(x, y) of a valid pair, scaled into the normal range where both
-    arguments lie below _TINY: there halves and quotients lose digits or
-    vanish. Every mean is homogeneous of degree one, so the results are
-    scaled back by the same power of two; other points keep their bits."""
+def _bundle_values(x, y, kinds) -> tuple:
+    """The means ``kinds`` of a valid pair, in that order, unclamped. A, G, Q
+    and u are always formed; L with I and each arc family only on demand."""
+    a, g, q = _agq(x, y)
+    u = (0.5 * x - 0.5 * y) / a
+    values = {"A": a, "G": g, "Q": q}
+    wanted = set(kinds)
+    if not wanted.isdisjoint(("L", "I")):
+        values["L"], values["I"] = _log_identric(x, y, a, g, u)
+    near = abs(u) < _NEAR_DEGENERATE
+    if not wanted.isdisjoint(_ARCSIN_KINDS):
+        arcsin = _piecewise(near, _arcsin_near_diagonal, _arcsin_means, a, g, u)
+        values.update(zip(_ARCSIN_KINDS, arcsin))
+    if not wanted.isdisjoint(_ARCTAN_KINDS):
+        arctan = _piecewise(near, _arctan_near_diagonal, _arctan_means, a, q, u)
+        values.update(zip(_ARCTAN_KINDS, arctan))
+    return tuple(values[k] for k in kinds)
+
+
+def _homogeneous(x, y, kinds) -> tuple:
+    """_bundle_values(x, y, kinds) of a valid pair, scaled into the normal
+    range where both arguments lie below _TINY: there halves and quotients
+    lose digits or vanish. Every mean is homogeneous of degree one, so the
+    results are scaled back by the same power of two; other points keep
+    their bits."""
     if not (_any(x < _TINY) and _any(y < _TINY)):
-        return means(x, y)
+        return _bundle_values(x, y, kinds)
     s = _where((x < _TINY) & (y < _TINY), _UP, 1.0)
-    return tuple(v / s for v in means(x * s, y * s))
+    return tuple(v / s for v in _bundle_values(x * s, y * s, kinds))
 
 
-def mean_bundle(x, y) -> dict:
-    """All eleven non-parametric means of (x, y) computed in one pass."""
+def mean_bundle(x, y, kinds: Sequence[str] = _BUNDLE_KINDS) -> dict:
+    """The non-parametric means ``kinds`` of (x, y), by default all eleven,
+    computed in one pass. Each value has the same bits whichever other kinds
+    are asked for, so a caller asks only for the means it reads."""
+    unknown = set(kinds).difference(_BUNDLE_KINDS)
+    if unknown:
+        known = ", ".join(_BUNDLE_KINDS)
+        raise DomainError(f"unknown mean kinds {sorted(unknown)}; known kinds: {known}")
     x, y = _validate_pair((x, y))
-    return dict(zip(_BUNDLE_KINDS, _clamped(_homogeneous(_bundle_values, x, y), x, y)))
+    return dict(zip(kinds, _clamped(_homogeneous(x, y, kinds), x, y)))
 
 
 def _power_sum(r: float, w: float, x, y):
@@ -256,9 +282,7 @@ def evaluate_mean(kind: str, pair, r: float | None = None) -> float:
         if r is None:
             raise DomainError("mean kind 'power' requires the order r")
         return weighted_power_mean(r, 0.5, x, y)
-    # A, G and Q lead _BUNDLE_KINDS and need neither atanh nor the arc means
-    values = _homogeneous(_agq if kind in ("A", "G", "Q") else _bundle_values, x, y)
-    return _clamped((values[_BUNDLE_KINDS.index(kind)],), x, y)[0]
+    return mean_bundle(x, y, (kind,))[kind]
 
 
 def reduce_homogeneous(kind: str, pair, r: float | None = None) -> tuple[float, float, float]:
@@ -290,7 +314,7 @@ def _substitution(pair, arc, norm: str, kinds: tuple[str, str, str, str]):
     if not b > a:
         raise DomainError(f"substitution requires b > a, got ({a!r}, {b!r})")
     t = arc((b - a) / (a + b))
-    m = mean_bundle(a, b)
+    m = mean_bundle(a, b, (norm, *kinds))
     forms = (kernels.sinc, math.cos, kernels.exp_tcot, kernels.exp_tcot_half)
     return t, tuple(abs(f(t) - m[kind] / m[norm]) for f, kind in zip(forms, kinds))
 

@@ -425,6 +425,15 @@ def _check_links(
     ]
 
 
+def _mean_args(chain: Chain, ratio) -> tuple:
+    """The MEAN_VARS arguments of a mean chain's members at the pairs
+    (ratio, 1): the means the chain reads, and nan of ratio's shape in every
+    other slot, so that a member reading an unlisted mean fails loudly."""
+    bundle = mean_bundle(ratio, 1.0, chain.mean_kinds)
+    nan = math.nan if isinstance(ratio, float) else _np().broadcast_to(math.nan, ratio.shape)
+    return tuple(bundle.get(v, nan) for v in MEAN_VARS)
+
+
 def _verify_mean_chain(
     chain: Chain, config: VerificationConfig
 ) -> tuple[list[LinkReport], float, bool]:
@@ -439,8 +448,7 @@ def _verify_mean_chain(
     twin_max = 0.0
     twin_ok = True
     for ratios in grid.blocks():
-        bundle = mean_bundle(ratios, 1.0)
-        vec = tuple(bundle[v] for v in MEAN_VARS)
+        vec = _mean_args(chain, ratios)
         values = [_on_block(fn, *vec) for fn in fns]
         for scan, lhs_vals, rhs_vals in zip(scans, values, values[1:]):
             scan.add(lhs_vals, rhs_vals)
@@ -458,8 +466,7 @@ def _verify_mean_chain(
     for scan, lf, rf in zip(scans, fns, fns[1:]):
 
         def value_fn(r: float, lf=lf, rf=rf) -> tuple[float, float]:
-            bundle = mean_bundle(r, 1.0)
-            vec = tuple(bundle[v] for v in MEAN_VARS)
+            vec = _mean_args(chain, r)
             return lf(*vec), rf(*vec)
 
         link = scan.report(value_fn, config.refine_depth)

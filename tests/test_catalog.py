@@ -1,5 +1,6 @@
 """Chain catalog: JSON loading, expression compilation, parametric builders."""
 
+import ast
 import math
 from collections import Counter
 
@@ -35,6 +36,23 @@ def test_mean_chains_carry_twins():
             assert chain.domain[0] < chain.domain[1]
 
 
+def test_mean_chains_read_only_the_means_their_members_and_scale_name():
+    # the verifier computes only these means, so the set must be exact
+    cat = C.load_catalog()
+    for chain in cat.chains.values():
+        if chain.kind != "mean":
+            assert chain.mean_kinds == ()
+            continue
+        names = {
+            node.id
+            for expr in (*chain.members, chain.scale)
+            for node in ast.walk(ast.parse(expr, mode="eval"))
+            if isinstance(node, ast.Name)
+        }
+        assert chain.mean_kinds == tuple(v for v in C.MEAN_VARS if v in names), chain.id
+        assert not {"L", "I"} & set(chain.mean_kinds), chain.id
+
+
 def test_get_chain_error_lists_ids():
     cat = C.load_catalog()
     with pytest.raises(CatalogError) as err:
@@ -46,19 +64,29 @@ def test_get_chain_error_lists_ids():
 
 def test_load_compiles_each_distinct_expression_once(monkeypatch):
     calls = Counter()
+    parses = Counter()
     compile_expression = C.compile_expression
+    parse = ast.parse
 
     def counted(expr, args):
         calls[expr, args] += 1
         return compile_expression(expr, args)
 
+    def counted_parse(source, *args, **kwargs):
+        parses[source] += 1
+        return parse(source, *args, **kwargs)
+
     monkeypatch.setattr(C, "compile_expression", counted)
+    monkeypatch.setattr(C.ast, "parse", counted_parse)
     C.load_catalog.cache_clear()
     try:
         cat = C.load_catalog()
     finally:
         C.load_catalog.cache_clear()
     assert set(calls.values()) == {1}
+    # one parse per distinct (expression, arguments) pair: the mean chains'
+    # read sets come from the compile's own walk of the tree
+    assert parses == Counter(expr for expr, _ in calls)
     # every member and probe side came through the counted compiler
     for chain in cat.chains.values():
         args = ("t",) if chain.kind == "kernel" else C.MEAN_VARS

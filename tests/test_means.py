@@ -191,6 +191,8 @@ def test_domain_errors():
     with pytest.raises(DomainError) as err:
         M.evaluate_mean("H", (1.0, 2.0))
     assert "power" in str(err.value)  # unknown kind lists the known ones
+    with pytest.raises(DomainError, match="unknown mean kinds \\['power'\\]"):
+        M.mean_bundle(1.0, 2.0, ("A", "power"))
     with pytest.raises(DomainError):
         M.substitution_arcsin((3.0, 1.0))  # needs b > a
     with pytest.raises(DomainError):
@@ -254,6 +256,45 @@ def test_means_finite_internal_and_symmetric_across_the_float_range(x, y):
     for kind, values in bundle.items():
         assert np.all(np.isfinite(values)) and np.all((lo <= values) & (values <= hi)), kind
         assert values[0] == values[1], kind
+
+
+_BUNDLE_KINDS = tuple(M.mean_bundle(3.0, 1.0))
+_POSITIVE = st.floats(min_value=5e-324, max_value=1.7e308)
+_NEAR_DIAGONAL = st.builds(
+    lambda x, d: (x, x * (1.0 + d)), st.floats(1e-300, 1e300), st.floats(-1e-7, 1e-7)
+)
+
+
+def _bits(value):
+    return np.asarray(value, dtype=float).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.tuples(_POSITIVE, _POSITIVE) | _NEAR_DIAGONAL,
+       st.lists(st.sampled_from(_BUNDLE_KINDS), min_size=1, unique=True))
+@example((1.0 + 1e-9, 1.0), ["P", "K"])
+@example((1e17, 1.0), ["I", "J"])
+@example((2.0 ** 60, 3.0), ["L", "T"])
+@example((1e-310, 2.0), ["P", "I", "B"])
+@example((5e-324, 2.5e-323), ["J", "L"])
+@example((3e-320, 1e-310), ["K", "G"])
+def test_a_subset_of_kinds_keeps_the_bits_of_the_full_bundle(pair, kinds):
+    # a mean chain asks only for the means it reads; each must be the value
+    # the full bundle gives, on floats and on arrays mixing near-diagonal,
+    # far and subnormal points
+    x, y = pair
+    full = M.mean_bundle(x, y)
+    part = M.mean_bundle(x, y, kinds)
+    assert list(part) == kinds
+    for kind in kinds:
+        assert _bits(part[kind]) == _bits(full[kind]), kind
+        assert _bits(M.evaluate_mean(kind, (x, y))) == _bits(full[kind]), kind
+    xs = np.array([x, y, 3.0, 1.0 + 1e-9, 1e-310, 5e-324])
+    ys = np.array([y, x, 1.0, 1.0, 2.0, 2.5e-323])
+    full = M.mean_bundle(xs, ys)
+    part = M.mean_bundle(xs, ys, kinds)
+    for kind in kinds:
+        assert _bits(part[kind]) == _bits(full[kind]), kind
 
 
 def test_extreme_pairs_stay_finite():

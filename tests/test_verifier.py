@@ -4,11 +4,13 @@ Small grids keep this module fast; the default-config run lives in the
 acceptance tests.
 """
 
+import dataclasses
 import math
 
 import pytest
 
 from ineqforge import catalog as C
+from ineqforge import means as M
 from ineqforge import verifier as V
 from ineqforge.errors import DomainError
 from ineqforge.verifier import VerificationConfig
@@ -137,6 +139,29 @@ def test_mean_chain_witness_carries_the_pair(cat):
     ratio, one = bad.witness["pair"]
     assert one == 1.0
     assert 1.0 < ratio <= 100.0
+
+
+def test_mean_chains_match_a_full_bundle_run(cat, monkeypatch):
+    # each mean chain computes only the means it reads; its reports must be
+    # the ones a run computing all eleven gives, on both ratio ranges
+    flipped = C.flipped_catalog(cat, "M5-i", 0)
+    chains = [c for c in cat.chains.values() if c.kind == "mean"]
+    chains.append(flipped.get_chain("M5-i"))
+    configs = [VerificationConfig(ratio_samples=20001, ratio_max=r) for r in (3.0, 1e12)]
+    reports = [V.verify_chain(c, cfg).to_dict() for c in chains for cfg in configs]
+    monkeypatch.setattr(V, "mean_bundle", lambda x, y, kinds: M.mean_bundle(x, y))
+    full = [V.verify_chain(c, cfg).to_dict() for c in chains for cfg in configs]
+    assert any(r["verdict"] == "falsified" for r in full)
+    for got, want in zip(reports, full):
+        got.pop("elapsed_s")
+        want.pop("elapsed_s")
+        assert got == want, want["chain"]
+
+
+def test_member_reading_an_unlisted_mean_fails_loudly(cat):
+    chain = dataclasses.replace(cat.get_chain("M1c-i1"), mean_kinds=("A", "G"))
+    with pytest.raises(DomainError, match="not a finite real"):
+        V.verify_chain(chain, SMALL)
 
 
 # --- probes ----------------------------------------------------------------------------
