@@ -149,9 +149,11 @@ def _agq(x, y):
 
 
 def _arcsin_means(a, g, u):
-    """P, X and J from A, G and u = (x-y)/(x+y)."""
+    """P, X and J from A, G and u = (x-y)/(x+y). asin(u) is taken as
+    atan2(u, G/A), as sqrt(1 - u**2) = G/A: asin is ill-conditioned near
+    |u| = 1, where u has rounded away the digits of the ratio."""
     m = _xp(u)
-    p = a * u / m.asin(u)
+    p = a * u / m.atan2(u, g / a)
     return p, a * m.exp(g / p - 1.0), a * m.exp((0.5 * a + 0.5 * g) / (0.5 * p) - 2.0)
 
 
