@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 import sys
+from contextlib import nullcontext
 from typing import Sequence
 
 from . import kernels
@@ -259,18 +260,23 @@ def weighted_power_mean(r: float, w: float, x, y):
         qq = w * lx * lx + (1.0 - w) * ly * ly
         value = m.exp(mu + 0.5 * r * (qq - mu * mu))
     else:
-        try:
-            total = _power_sum(r, w, x, y)
-            value = total ** (1.0 / r)
-        except (OverflowError, ZeroDivisionError):
-            total = value = math.inf
-        # Positive arguments give a sum in [0, inf]. Where it is not a normal
-        # double, it has lost digits or range: scale the argument that
-        # dominates the sum to 1.
-        lost = (total < sys.float_info.min) | (value == math.inf)
-        if _any(lost):
-            s = _where(x > y, x, y) if r > 0.0 else _where(x < y, x, y)
-            value = _where(lost, s * _power_sum(r, w, x / s, y / s) ** (1.0 / r), value)
+        # Where math raises, numpy gives inf or 0 with a warning; the lost
+        # mask below catches both. The rescale, evaluated at every point of
+        # an array, can overflow where it is not selected.
+        quiet = _np().errstate(over="ignore", divide="ignore") if m is not math else nullcontext()
+        with quiet:
+            try:
+                total = _power_sum(r, w, x, y)
+                value = total ** (1.0 / r)
+            except (OverflowError, ZeroDivisionError):
+                total = value = math.inf
+            # Positive arguments give a sum in [0, inf]. Where it is not a
+            # normal double, it has lost digits or range: scale the argument
+            # that dominates the sum to 1.
+            lost = (total < sys.float_info.min) | (total == math.inf) | (value == math.inf)
+            if _any(lost):
+                s = _where(x > y, x, y) if r > 0.0 else _where(x < y, x, y)
+                value = _where(lost, s * _power_sum(r, w, x / s, y / s) ** (1.0 / r), value)
     return _clamped((value,), x, y)[0]
 
 

@@ -468,3 +468,20 @@ def test_power_mean_where_the_sum_of_powers_is_subnormal(r, w, x, y):
     got = M.weighted_power_mean(r, w, x, y)
     assert got == pytest.approx(float(want), rel=4e-16, abs=0.0)
     assert M.weighted_power_mean(r, w, np.array([x, 2.0]), np.array([y, 1.0]))[0] == got
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([-3.0, -2.0, -0.5, 0.5, 2.0, 3.0]), st.floats(0.05, 0.95), _POSITIVE, _POSITIVE)
+@example(-2.0, 0.5, 1e-200, 1e-100)
+@example(-2.0, 0.5, 1e200, 2e200)
+@example(3.0, 0.5, 1e200, 1e-300)
+def test_power_mean_on_arrays_matches_floats(r, w, x, y):
+    # numpy gives inf with a warning where x**r overflows, and the sum of
+    # powers was then taken as it stood: at (-2, 1e-200, 1e-100) the array
+    # mean was 1e-200 where the float one is 1.414e-200. numpy's power may
+    # round differently from math's, so the two agree to a few ulps, or one
+    # spacing where the mean is subnormal.
+    got = M.weighted_power_mean(r, w, np.array([x, 2.0]), np.array([y, 1.0]))
+    for value, (a, b) in zip(got, ((x, y), (2.0, 1.0))):
+        want = M.weighted_power_mean(r, w, a, b)
+        assert value == pytest.approx(want, rel=1e-15, abs=_SUBNORMAL_ULP), (a, b)
