@@ -195,7 +195,7 @@ def _log_identric(x, y, a, g, u):
     return a / (1.0 + h), im
 
 
-def _bundle_values(x, y, kinds) -> tuple:
+def _bundle_values(x, y, kinds) -> list:
     """The means ``kinds`` of a valid pair, in that order, unclamped. A, G, Q
     and u are always formed; L with I and each arc family only on demand."""
     a, g, q = _agq(x, y)
@@ -211,10 +211,10 @@ def _bundle_values(x, y, kinds) -> tuple:
     if not wanted.isdisjoint(_ARCTAN_KINDS):
         arctan = _piecewise(near, _arctan_near_diagonal, _arctan_means, a, q, u)
         values.update(zip(_ARCTAN_KINDS, arctan))
-    return tuple(values[k] for k in kinds)
+    return [values[k] for k in kinds]
 
 
-def _homogeneous(x, y, kinds) -> tuple:
+def _homogeneous(x, y, kinds) -> list:
     """_bundle_values(x, y, kinds) of a valid pair, scaled into the normal
     range where both arguments lie below _TINY: there halves and quotients
     lose digits or vanish. Every mean is homogeneous of degree one, so the
@@ -223,19 +223,21 @@ def _homogeneous(x, y, kinds) -> tuple:
     if not (_any(x < _TINY) and _any(y < _TINY)):
         return _bundle_values(x, y, kinds)
     s = _where((x < _TINY) & (y < _TINY), _UP, 1.0)
-    return tuple(v / s for v in _bundle_values(x * s, y * s, kinds))
+    return [v / s for v in _bundle_values(x * s, y * s, kinds)]
 
 
 def mean_bundle(x, y, kinds: Sequence[str] = _BUNDLE_KINDS) -> dict:
     """The non-parametric means ``kinds`` of (x, y), by default all eleven,
     computed in one pass. Each value has the same bits whichever other kinds
     are asked for, so a caller asks only for the means it reads."""
-    unknown = set(kinds).difference(_BUNDLE_KINDS)
-    if unknown:
-        known = ", ".join(_BUNDLE_KINDS)
-        raise DomainError(f"unknown mean kinds {sorted(unknown)}; known kinds: {known}")
     x, y = _validate_pair((x, y))
-    return dict(zip(kinds, _clamped(_homogeneous(x, y, kinds), x, y)))
+    try:
+        values = _homogeneous(x, y, kinds)
+    except KeyError:  # _bundle_values looks each kind up by name
+        unknown = sorted(set(kinds).difference(_BUNDLE_KINDS))
+        known = ", ".join(_BUNDLE_KINDS)
+        raise DomainError(f"unknown mean kinds {unknown}; known kinds: {known}") from None
+    return dict(zip(kinds, _clamped(values, x, y)))
 
 
 def _power_sum(r: float, w: float, x, y):
