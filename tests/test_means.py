@@ -260,8 +260,9 @@ def test_means_finite_internal_and_symmetric_across_the_float_range(x, y):
 
 _BUNDLE_KINDS = tuple(M.mean_bundle(3.0, 1.0))
 _POSITIVE = st.floats(min_value=5e-324, max_value=1.7e308)
+# |u| is about |d|/2, so these pairs straddle the near-diagonal switch at 1e-7
 _NEAR_DIAGONAL = st.builds(
-    lambda x, d: (x, x * (1.0 + d)), st.floats(1e-300, 1e300), st.floats(-1e-7, 1e-7)
+    lambda x, d: (x, x * (1.0 + d)), st.floats(1e-300, 1e300), st.floats(-1e-5, 1e-5)
 )
 
 
@@ -289,8 +290,8 @@ def test_a_subset_of_kinds_keeps_the_bits_of_the_full_bundle(pair, kinds):
     for kind in kinds:
         assert _bits(part[kind]) == _bits(full[kind]), kind
         assert _bits(M.evaluate_mean(kind, (x, y))) == _bits(full[kind]), kind
-    xs = np.array([x, y, 3.0, 1.0 + 1e-9, 1e-310, 5e-324])
-    ys = np.array([y, x, 1.0, 1.0, 2.0, 2.5e-323])
+    xs = np.array([x, y, 3.0, 1.0 + 1e-9, 1.0 + 1.9e-7, 1.0 + 2.1e-7, 1e-310, 5e-324])
+    ys = np.array([y, x, 1.0, 1.0, 1.0, 1.0, 2.0, 2.5e-323])
     full = M.mean_bundle(xs, ys)
     part = M.mean_bundle(xs, ys, kinds)
     for kind in kinds:
