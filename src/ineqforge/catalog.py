@@ -5,10 +5,10 @@ strings.  This module compiles those strings into callables through a small
 AST whitelist, so the data file stays declarative without pulling in a full
 parser dependency.  A catalog load compiles each distinct expression once.
 
-The M6 exponent family is written as templates with the exponent as a slot:
-filled with the exponent's literal they are the printed members and probe
-sides, and filled with the name ``q`` they are compiled once and bound to
-each exponent, so building a regime chain compiles nothing.
+The M6 exponent family is a table of templates per exponent regime with the
+exponent as a slot: filled with its literal they are the printed members and
+probe sides, and filled with the name ``q`` they are compiled once and bound
+to each exponent, so building a regime chain compiles nothing.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ from typing import Callable, Mapping
 from . import constants, kernels, means
 from .errors import CatalogError
 
-MEAN_VARS = ("A", "G", "Q", "L", "I", "P", "T", "X", "B", "J", "K")
+# The arguments of a mean chain's members and scale: the bundle's means.
+MEAN_VARS = means._BUNDLE_KINDS
 
 _REGIONS = ("near_zero", "near_right")
 _DIRECTIONS = ("+", "-")
@@ -168,7 +169,8 @@ class Probe:
 
     ``lhs < rhs`` is the claimed inequality at the optimal constant ``base``;
     the verifier nudges the parameter by ``epsilon`` in ``direction`` and
-    scans only the declared ``region`` for a counterexample.
+    scans only the declared ``region`` of ``domain`` for a counterexample.
+    ``domain`` is that of ``chain``, which must be a kernel chain.
     """
 
     id: str
@@ -229,25 +231,27 @@ def _build_chain(record: dict, compile_fn: Callable = compile_expression) -> Cha
     )
 
 
-def _build_probe(record: dict, compile_fn: Callable = compile_expression) -> Probe:
+def _build_probe(
+    record: dict, chains: Mapping[str, Chain], compile_fn: Callable = compile_expression
+) -> Probe:
     probe_id = record["id"]
+    chain = chains.get(record["chain"])
     direction = record["direction"]
     region = record["region"]
+    if chain is None:
+        raise CatalogError(f"probe {probe_id!r} references unknown chain {record['chain']!r}")
+    if chain.kind != "kernel":
+        raise CatalogError(f"probe {probe_id!r} references mean chain {chain.id!r}")
     if direction not in _DIRECTIONS:
         raise CatalogError(f"probe {probe_id!r} has unknown direction {direction!r}")
     if region not in _REGIONS:
         raise CatalogError(f"probe {probe_id!r} has unknown region {region!r}")
-    lo_s, hi_s = record["domain"]
-    lo = evaluate_constant_expression(lo_s, compile_fn)
-    hi = evaluate_constant_expression(hi_s, compile_fn)
-    if not lo < hi:
-        raise CatalogError(f"probe {probe_id!r} has empty domain")
     base = record["base"]
     base_value = evaluate_constant_expression(base, compile_fn)
     return Probe(
         id=probe_id,
-        chain=record["chain"],
-        domain=(lo, hi),
+        chain=chain.id,
+        domain=chain.domain,
         lhs=record["lhs"],
         rhs=record["rhs"],
         base=base,
@@ -320,11 +324,9 @@ def load_catalog() -> Catalog:
         chains[chain.id] = chain
     probes: dict[str, Probe] = {}
     for record in data["probes"]:
-        probe = _build_probe(record, compile_once)
+        probe = _build_probe(record, chains, compile_once)
         if probe.id in probes:
             raise CatalogError(f"duplicate probe id {probe.id!r}")
-        if probe.chain not in chains:
-            raise CatalogError(f"probe {probe.id!r} references unknown chain {probe.chain!r}")
         probes[probe.id] = probe
     return Catalog(chains, probes)
 
@@ -335,22 +337,36 @@ _M6_THIRD = "(2/3)*cos(t)**{q}+1/3"
 _M6_MIDDLE = "exp_tcot(t)**{q}"
 _M6_ONE = "1"
 _M6_COMBO = "p*cos(t)**{q}+(1-p)"
-_M6_TWO_THIRDS = ("2/3", 2.0 / 3.0)
+_M6_DOMAIN = (0.0, math.pi / 2)
+
+# Per exponent regime: the chain's members, smallest first, and its probes as
+# (name, lhs, rhs, base, direction, region). A probe nudges the coefficient p
+# on the cosine term across its optimal value, toward where the bound fails.
+_M6_REGIMES = {
+    "high": ((_M6_ALPHA, _M6_MIDDLE, _M6_THIRD),
+             (("alpha", _M6_COMBO, _M6_MIDDLE, "1-exp(-{q})", "-", "near_right"),
+              ("beta", _M6_MIDDLE, _M6_COMBO, "2/3", "+", "near_zero"))),
+    "unit": ((_M6_THIRD, _M6_MIDDLE, _M6_ALPHA),
+             (("alpha", _M6_COMBO, _M6_MIDDLE, "2/3", "-", "near_zero"),
+              ("beta", _M6_MIDDLE, _M6_COMBO, "1-exp(-{q})", "+", "near_right"))),
+    "negative": ((_M6_ONE, _M6_MIDDLE, _M6_THIRD),
+                 (("alpha", _M6_COMBO, _M6_MIDDLE, "0", "+", "near_right"),
+                  ("beta", _M6_MIDDLE, _M6_COMBO, "2/3", "-", "near_zero"))),
+}
 
 
 @lru_cache(maxsize=1)
-def _m6_compiled() -> tuple[Mapping[str, Callable], Mapping[str, Callable]]:
-    """The M6 templates compiled with the exponent q as leading argument:
-    chain members as functions of (q, t), probe sides of (q, p, t)."""
-    members = {
-        form: compile_expression(form.format(q="q"), ("q", "t"))
-        for form in (_M6_ALPHA, _M6_THIRD, _M6_MIDDLE, _M6_ONE)
-    }
-    sides = {
-        form: compile_expression(form.format(q="q"), ("q", "p", "t"))
-        for form in (_M6_COMBO, _M6_MIDDLE)
-    }
-    return MappingProxyType(members), MappingProxyType(sides)
+def _m6_compiled() -> Mapping[tuple[str, tuple[str, ...]], Callable]:
+    """Every template of _M6_REGIMES compiled with the exponent q as leading
+    argument, keyed by (template, the other arguments)."""
+    keys = set()
+    for members, probes in _M6_REGIMES.values():
+        keys.update((form, ("t",)) for form in members)
+        for _, lhs, rhs, base, _, _ in probes:
+            keys.update({(lhs, ("p", "t")), (rhs, ("p", "t")), (base, ())})
+    return MappingProxyType(
+        {key: compile_expression(key[0].format(q="q"), ("q", *key[1])) for key in keys}
+    )
 
 
 def _m6_exponent(p: float) -> tuple[float, str, str]:
@@ -388,64 +404,38 @@ def make_m6_chain(p: float) -> Chain:
     CatalogError is raised.
     """
     q, literal, regime = _m6_exponent(p)
-    if regime == "high":
-        forms = (_M6_ALPHA, _M6_MIDDLE, _M6_THIRD)
-    elif regime == "unit":
-        forms = (_M6_THIRD, _M6_MIDDLE, _M6_ALPHA)
-    else:
-        forms = (_M6_ONE, _M6_MIDDLE, _M6_THIRD)
-    compiled = _m6_compiled()[0]
+    forms = _M6_REGIMES[regime][0]
+    compiled = _m6_compiled()
     return Chain(
         id=f"M6(p={literal})",
         kind="kernel",
         members=tuple(form.format(q=literal) for form in forms),
-        member_fns=tuple(partial(compiled[form], q) for form in forms),
-        domain=(0.0, math.pi / 2),
+        member_fns=tuple(partial(compiled[form, ("t",)], q) for form in forms),
+        domain=_M6_DOMAIN,
     )
 
 
 def m6_probe_specs(p: float) -> list[Probe]:
-    """Sharpness probes for the convex-combination coefficients at ``p``.
-
-    The probe parameter is the coefficient on the cosine term, not the
-    exponent; each regime nudges it across its optimal value toward the
-    region where the bound degenerates.
-    """
+    """Sharpness probes for the convex-combination coefficients at ``p``,
+    on the domain of ``make_m6_chain(p)``."""
     q, literal, regime = _m6_exponent(p)
-    if regime == "negative":
-        specs = [
-            ("alpha", _M6_COMBO, _M6_MIDDLE, ("0", 0.0), "+", "near_right"),
-            ("beta", _M6_MIDDLE, _M6_COMBO, _M6_TWO_THIRDS, "-", "near_zero"),
-        ]
-    else:
-        alpha_base = (f"1-exp(-{literal})", 1.0 - math.exp(-q))
-        if regime == "high":
-            specs = [
-                ("alpha", _M6_COMBO, _M6_MIDDLE, alpha_base, "-", "near_right"),
-                ("beta", _M6_MIDDLE, _M6_COMBO, _M6_TWO_THIRDS, "+", "near_zero"),
-            ]
-        else:
-            specs = [
-                ("alpha", _M6_COMBO, _M6_MIDDLE, _M6_TWO_THIRDS, "-", "near_zero"),
-                ("beta", _M6_MIDDLE, _M6_COMBO, alpha_base, "+", "near_right"),
-            ]
-    compiled = _m6_compiled()[1]
+    compiled = _m6_compiled()
     chain_id = f"M6(p={literal})"
     return [
         Probe(
             id=f"{chain_id}-{name}",
             chain=chain_id,
-            domain=(0.0, math.pi / 2),
+            domain=_M6_DOMAIN,
             lhs=lhs.format(q=literal),
             rhs=rhs.format(q=literal),
-            base=base,
-            base_value=base_value,
+            base=base.format(q=literal),
+            base_value=compiled[base, ()](q),
             direction=direction,
             region=region,
-            lhs_fn=partial(compiled[lhs], q),
-            rhs_fn=partial(compiled[rhs], q),
+            lhs_fn=partial(compiled[lhs, ("p", "t")], q),
+            rhs_fn=partial(compiled[rhs, ("p", "t")], q),
         )
-        for name, lhs, rhs, (base, base_value), direction, region in specs
+        for name, lhs, rhs, base, direction, region in _M6_REGIMES[regime][1]
     ]
 
 

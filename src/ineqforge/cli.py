@@ -80,12 +80,19 @@ def _build_config(args: argparse.Namespace) -> VerificationConfig:
     return VerificationConfig(**values)
 
 
+def _open_output(path: str, **kwargs):
+    try:
+        return open(path, "w", encoding="utf-8", **kwargs)
+    except OSError as exc:
+        raise IneqForgeError(f"cannot write {path!r}: {exc.strerror}") from exc
+
+
 def _write_json(path: str, payload: object) -> None:
     text = json.dumps(payload, indent=2, sort_keys=False)
     if path == "-":
         print(text)
     else:
-        with open(path, "w", encoding="utf-8") as handle:
+        with _open_output(path) as handle:
             handle.write(text + "\n")
 
 
@@ -162,8 +169,8 @@ def _cmd_sharpness(args: argparse.Namespace) -> tuple[int, dict]:
     cfg = _build_config(args)
     report = probe_sharpness(args.probe, cfg)
     print(
-        f"probe {report.probe} (chain {report.chain}): parameter "
-        f"{report.base_value!r} {report.direction} {report.epsilon:g} -> {report.parameter!r}"
+        f"probe {report.probe} (chain {report.chain}): parameter {report.base_value!r} "
+        f"{report.direction} {report.config.epsilon:g} -> {report.parameter!r}"
     )
     print(
         f"  scanned {report.region} = [{report.interval[0]:.9g}, {report.interval[1]:.9g}]"
@@ -225,14 +232,18 @@ def _cmd_table(args: argparse.Namespace) -> tuple[int, None]:
     out = sys.stdout
     handle = None
     if args.csv and args.csv != "-":
-        handle = open(args.csv, "w", encoding="utf-8", newline="")
+        handle = _open_output(args.csv, newline="")
         out = handle
     try:
         writer = csv.writer(out)
         writer.writerow(["t", "value"])
         for i in range(args.count):
             t = start + i * step
-            writer.writerow([repr(t), repr(kernel.fn(t))])
+            try:
+                value = kernel.fn(t)
+            except ArithmeticError as exc:
+                raise IneqForgeError(f"{args.kernel} fails at t={t!r}: {exc}") from exc
+            writer.writerow([repr(t), repr(value)])
     finally:
         if handle is not None:
             handle.close()
@@ -315,11 +326,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         with contextlib.redirect_stdout(text_out):
             code, payload = args.func(args)
+        if json_path:
+            _write_json(json_path, payload)
     except IneqForgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if json_path:
-        _write_json(json_path, payload)
     return code
 
 

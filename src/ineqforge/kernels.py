@@ -13,9 +13,8 @@ arithmetic; numpy's exp, log, tan and a few others can differ from the C
 library's in the last bit, so array and float values may too.
 
 A registry maps stable string ids (e.g. ``sinc``, ``Fp(p=0.5)``) to Kernel
-records carrying the open domain, the analytic endpoint limits, and the
-series/direct crossover threshold where one applies. Endpoint limits are
-stored in closed form, never extrapolated.
+records carrying the open domain and the analytic endpoint limits. Endpoint
+limits are stored in closed form, never extrapolated.
 """
 
 from __future__ import annotations
@@ -145,7 +144,8 @@ def _tcm1_direct(t):
 
 
 def _even_series(coeffs: tuple[float, ...], t, alternating: bool = False):
-    """sum c_n t^(2n) from the table, terminated at relative 1e-17.
+    """sum c_n t^(2n) from the table, terminated at relative 1e-17 or on a
+    zero term (t^2 can underflow).
 
     Each array point stops on its own: once it is done, its later terms are
     multiplied by False, so it sums exactly what a float would.
@@ -158,7 +158,7 @@ def _even_series(coeffs: tuple[float, ...], t, alternating: bool = False):
     for c in coeffs:
         term = c * power
         acc += sign * term * live
-        live &= term >= 1e-17 * abs(acc)
+        live &= term > 1e-17 * abs(acc)
         if not _any(live):
             break
         power *= t2
@@ -344,7 +344,6 @@ class Kernel:
     fn: Callable
     limit_lo: float | None
     limit_hi: float | None
-    small_t_threshold: float | None = None
     monotone: str | None = None
     hi_asymptotic: bool = False
     probe_points: tuple[float, ...] = field(default=())
@@ -353,13 +352,31 @@ class Kernel:
 _SQRT10_5 = math.sqrt(10.0) / 5.0
 _INV_SQRT3 = 1.0 / math.sqrt(3.0)
 _LN2 = math.log(2.0)
+# Below this t a ratio kernel is taken as its limit at 0+, which its next,
+# O(t^2) term cannot move in double precision. Nearer 0 both of its sums
+# lose digits once t^2 turns subnormal (about 1.5e-154), then vanish.
+_LIMIT_BELOW = 1e-100
+
+
+def _ratio_kernel(
+    kernel_id: str, fn: Callable, limit_lo: float, limit_hi: float, monotone: str
+) -> Kernel:
+    """A kernel on (0, pi/2) that is a quotient of two sums vanishing at 0:
+    fn(t), or limit_lo where 0 < t < _LIMIT_BELOW."""
+
+    def limit(t):
+        return 0.0 * t + limit_lo
+
+    def ratio(t):
+        return _piecewise((0.0 < t) & (t < _LIMIT_BELOW), limit, fn, t)
+
+    return Kernel(kernel_id, 0.0, _HALF_PI, ratio, limit_lo, limit_hi, monotone=monotone)
 
 
 def _build_registry() -> dict[str, Kernel]:
     ks = [
         Kernel("sinc", 0.0, _PI, sinc, 1.0, 0.0, monotone="decreasing"),
-        Kernel("t_cot_minus1", 0.0, _PI, t_cot_minus1, 0.0, None,
-               small_t_threshold=SMALL_T, monotone="decreasing"),
+        Kernel("t_cot_minus1", 0.0, _PI, t_cot_minus1, 0.0, None, monotone="decreasing"),
         Kernel("exp_tcot", 0.0, _PI, exp_tcot, 1.0, 0.0, monotone="decreasing"),
         Kernel("exp_tcot_half", 0.0, 2.0 * _PI, exp_tcot_half, 1.0, 0.0,
                monotone="decreasing"),
@@ -371,30 +388,25 @@ def _build_registry() -> dict[str, Kernel]:
                1.0, math.exp(-_PI * _PI / 8.0), monotone="decreasing"),
         Kernel("V(p=0.5)", 0.0, _HALF_PI, lambda t: cos_power_V(0.5, t),
                1.0, math.cos(_PI / 4.0) ** 4.0, monotone="decreasing"),
-        Kernel("Fp(p=0.5)", 0.0, _HALF_PI, lambda t: F_p(0.5, t),
-               8.0 / 3.0, -1.0 / ln_cos(_PI / 4.0), monotone="increasing"),
-        Kernel("Fp(p=sqrt10/5)", 0.0, _HALF_PI, lambda t: F_p(_SQRT10_5, t),
-               2.0 / (3.0 * 0.4), -1.0 / ln_cos(_SQRT10_5 * _HALF_PI),
-               monotone="decreasing"),
-        Kernel("Gp(p=0.5)", 0.0, _HALF_PI, lambda t: G_p(0.5, t),
-               4.0, (_LN2 - math.log(_PI) - 1.0) / ln_cos(_PI / 4.0),
-               monotone="increasing"),
-        Kernel("Gp(p=1/sqrt3)", 0.0, _HALF_PI, lambda t: G_p(_INV_SQRT3, t),
-               3.0, (_LN2 - math.log(_PI) - 1.0) / ln_cos(_INV_SQRT3 * _HALF_PI),
-               monotone="decreasing"),
-        Kernel("u(p=6/5)", 0.0, _HALF_PI, lambda t: u_ratio(1.2, t),
-               2.0 / 3.0, 1.0 - math.exp(-1.2), monotone="increasing"),
-        Kernel("u(p=0.5)", 0.0, _HALF_PI, lambda t: u_ratio(0.5, t),
-               2.0 / 3.0, 1.0 - math.exp(-0.5), monotone="decreasing"),
-        Kernel("u(p=-1)", 0.0, _HALF_PI, lambda t: u_ratio(-1.0, t),
-               2.0 / 3.0, 0.0, monotone="decreasing"),
+        _ratio_kernel("Fp(p=0.5)", lambda t: F_p(0.5, t),
+                      8.0 / 3.0, -1.0 / ln_cos(_PI / 4.0), "increasing"),
+        _ratio_kernel("Fp(p=sqrt10/5)", lambda t: F_p(_SQRT10_5, t),
+                      2.0 / (3.0 * 0.4), -1.0 / ln_cos(_SQRT10_5 * _HALF_PI), "decreasing"),
+        _ratio_kernel("Gp(p=0.5)", lambda t: G_p(0.5, t),
+                      4.0, (_LN2 - math.log(_PI) - 1.0) / ln_cos(_PI / 4.0), "increasing"),
+        _ratio_kernel("Gp(p=1/sqrt3)", lambda t: G_p(_INV_SQRT3, t),
+                      3.0, (_LN2 - math.log(_PI) - 1.0) / ln_cos(_INV_SQRT3 * _HALF_PI),
+                      "decreasing"),
+        _ratio_kernel("u(p=6/5)", lambda t: u_ratio(1.2, t),
+                      2.0 / 3.0, 1.0 - math.exp(-1.2), "increasing"),
+        _ratio_kernel("u(p=0.5)", lambda t: u_ratio(0.5, t),
+                      2.0 / 3.0, 1.0 - math.exp(-0.5), "decreasing"),
+        _ratio_kernel("u(p=-1)", lambda t: u_ratio(-1.0, t), 2.0 / 3.0, 0.0, "decreasing"),
         Kernel("h_ratio", 0.0, _HALF_PI, h_ratio,
                1.0, math.exp(-1.0) + 2.0 / _PI, monotone="increasing"),
-        Kernel("ratio_u5_u4", 0.0, _HALF_PI, ratio_u5_u4,
-               1.2, 1.0, small_t_threshold=0.5, monotone="decreasing"),
+        _ratio_kernel("ratio_u5_u4", ratio_u5_u4, 1.2, 1.0, "decreasing"),
         Kernel("sinhc", 0.0, 50.0, sinhc, 1.0, None, monotone="increasing"),
-        Kernel("t_coth_minus1", 0.0, 50.0, t_coth_minus1, 0.0, None,
-               small_t_threshold=SMALL_T_HYPERBOLIC, monotone="increasing"),
+        Kernel("t_coth_minus1", 0.0, 50.0, t_coth_minus1, 0.0, None, monotone="increasing"),
         Kernel("exp_tcoth", 0.0, 50.0, exp_tcoth, 1.0, None, monotone="increasing"),
         Kernel("coshpow(p=2/3)", 0.0, 50.0, lambda t: cosh_power(2.0 / 3.0, t),
                1.0, None, monotone="increasing"),

@@ -15,6 +15,9 @@ value stay plain floats.
 
 All verdicts are numeric evidence, not proof. Reports carry a reproducible
 witness (a concrete point with both side values) whenever something fails.
+Chain and probe reports carry the full VerificationConfig they ran with; a
+mean chain's report carries its twin check as twin_max_deviation,
+twin_tolerance_rel and twin_ok.
 """
 
 from __future__ import annotations
@@ -181,35 +184,19 @@ class LinkReport(_Report):
 
 
 @dataclass
-class ChainReport:
+class ChainReport(_Report):
+    """A chain's verdict and links; a mean chain's also its twin check."""
+
     chain: str
     kind: str
     verdict: str
-    links: list[LinkReport]
-    samples: int
+    config: VerificationConfig
     elapsed_s: float
+    links: list[LinkReport]
     twin_max_deviation: float | None = None
+    twin_tolerance_rel: float | None = None
     twin_ok: bool | None = None
     note: str | None = None
-
-    def to_dict(self) -> dict:
-        out = {
-            "chain": self.chain,
-            "kind": self.kind,
-            "verdict": self.verdict,
-            "config": {"samples": self.samples},
-            "elapsed_s": self.elapsed_s,
-            "links": [link.to_dict() for link in self.links],
-        }
-        if self.twin_ok is not None:
-            out["twin"] = {
-                "max_deviation": self.twin_max_deviation,
-                "tolerance_rel": _TWIN_REL,
-                "ok": self.twin_ok,
-            }
-        if self.note is not None:
-            out["note"] = self.note
-        return out
 
 
 @dataclass
@@ -218,7 +205,7 @@ class ProbeReport(_Report):
     chain: str
     parameter: float
     base_value: float
-    epsilon: float
+    config: VerificationConfig
     direction: str
     region: str
     interval: tuple[float, float]
@@ -491,9 +478,7 @@ def verify_chain(
     if isinstance(chain, str):
         chain = (catalog or load_catalog()).get_chain(chain)
     start = time.perf_counter()
-    twin_max = None
-    twin_ok = None
-    note = None
+    twin_max = twin_rel = twin_ok = note = None
     if chain.kind == "kernel":
         grid = _Grid.between(*_inset(*chain.domain, cfg.endpoint_eps), cfg.samples)
         links = _check_links(
@@ -501,6 +486,7 @@ def verify_chain(
         )
     else:
         links, twin_max, twin_ok = _verify_mean_chain(chain, cfg)
+        twin_rel = _TWIN_REL
     verdict = _chain_verdict(links)
     if twin_ok is False and verdict == "verified_numeric":
         verdict = "inconclusive"
@@ -510,10 +496,11 @@ def verify_chain(
         chain=chain.id,
         kind=chain.kind,
         verdict=verdict,
-        links=links,
-        samples=cfg.samples if chain.kind == "kernel" else cfg.ratio_samples,
+        config=cfg,
         elapsed_s=elapsed,
+        links=links,
         twin_max_deviation=twin_max,
+        twin_tolerance_rel=twin_rel,
         twin_ok=twin_ok,
         note=note,
     )
@@ -562,7 +549,7 @@ def probe_sharpness(
         chain=probe.chain,
         parameter=parameter,
         base_value=probe.base_value,
-        epsilon=cfg.epsilon,
+        config=cfg,
         direction=probe.direction,
         region=probe.region,
         interval=(rlo, rhi),
@@ -573,14 +560,13 @@ def probe_sharpness(
     )
 
 
-def verify_endpoint_limits(kernel_id: str, tol: float | None = None) -> dict:
+def verify_endpoint_limits(kernel_id: str) -> dict:
     """Check a kernel's stored endpoint limits by approaching them.
 
     Offsets 1e-3, 1e-5, 1e-7 walk toward each finite endpoint; the absolute
     errors must not increase. Kernels flagged asymptotic are instead sampled
     at their registered probe points, where only the error decrease is
-    required (the approach can be slow). When tol is given the final
-    offset-based error must also drop below it.
+    required (the approach can be slow).
     """
     k = kernels.get_kernel(kernel_id)
     sides: dict[str, dict] = {}
@@ -605,8 +591,6 @@ def verify_endpoint_limits(kernel_id: str, tol: float | None = None) -> dict:
             ts = [k.lo + d if side == "lo" else k.hi - d for d in _LIMIT_OFFSETS]
         errors = [abs(k.fn(t) - limit) for t in ts]
         side_ok = shrinking(errors, limit)
-        if tol is not None and key == "offsets":
-            side_ok = side_ok and errors[-1] <= tol
         sides[side] = {"limit": limit, key: approach, "errors": errors, "ok": side_ok}
         ok = ok and side_ok
     return {"kernel": kernel_id, "sides": sides, "verdict": "ok" if ok else "failed"}

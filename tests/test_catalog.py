@@ -19,9 +19,10 @@ def test_packaged_catalog_shape():
     assert len(cat.probes) == 12
     kinds = {chain.kind for chain in cat.chains.values()}
     assert kinds == {"kernel", "mean"}
-    # every probe points at a registered chain
+    # every probe points at a registered kernel chain and scans its domain
     for probe in cat.probes.values():
-        assert probe.chain in cat.chains
+        chain = cat.get_chain(probe.chain)
+        assert chain.kind == "kernel" and probe.domain == chain.domain, probe.id
 
 
 def test_mean_chains_carry_twins():
@@ -348,3 +349,13 @@ def test_build_chain_validation():
                 "members": ["G", "A"],
                 "twin_members": ["cos(t)"],
             })
+
+
+def test_build_probe_needs_a_kernel_chain():
+    cat = C.load_catalog()
+    record = {"id": "x", "chain": "M1", "lhs": "cos(p*t)", "rhs": "exp_tcot(t)",
+              "base": "2/3", "direction": "-", "region": "near_zero"}
+    assert C._build_probe(record, cat.chains).domain == cat.get_chain("M1").domain
+    for chain_id in ("M1c-i1", "no-such-chain"):
+        with pytest.raises(CatalogError, match=chain_id):
+            C._build_probe({**record, "chain": chain_id}, cat.chains)

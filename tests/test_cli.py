@@ -75,6 +75,26 @@ def test_verify_json_to_file(capsys, tmp_path):
     assert payload["chain"] == "M1"
 
 
+def test_verify_mean_chain_json_carries_the_full_config(capsys):
+    code, out, err = run(capsys, "verify", "M1c-i1", "--json", "-")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["config"]["samples"] == 20001
+    assert payload["config"]["ratio_samples"] == 100
+    assert payload["twin_ok"] is True and payload["twin_tolerance_rel"] == 1e-10
+
+
+@pytest.mark.parametrize("argv", [
+    ("table", "sinc", "--count", "3", "--csv"),
+    ("verify", "M1", "--samples", "101", "--json"),
+])
+def test_unwritable_output_path_exits_two(capsys, tmp_path, argv):
+    target = tmp_path / "missing" / "out"
+    code, out, err = run(capsys, *argv, str(target))
+    assert code == 2
+    assert err.splitlines()[-1].startswith("error: cannot write") and str(target) in err
+
+
 # --- sharpness --------------------------------------------------------------------
 
 def test_sharpness_falsifies_and_exits_zero(capsys):
@@ -217,6 +237,13 @@ def test_table_bad_range_and_count(capsys):
     assert code == 2 and "empty range" in err
     code, out, err = run(capsys, "table", "sinc", "--count", "1")
     assert code == 2 and "--count" in err
+
+
+def test_table_arithmetic_failure_names_t(capsys):
+    code, out, err = run(capsys, "table", "sinhc", "--start", "1", "--stop", "1000",
+                         "--count", "3")
+    assert code == 2
+    assert err.startswith("error: sinhc fails at t=1000.0")
 
 
 def test_table_unknown_kernel(capsys):

@@ -8,6 +8,7 @@ a small-argument series, the checks straddle the seam.
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from ineqforge import kernels as K
@@ -166,10 +167,24 @@ def test_seam_agreement(fn, oracle, lo, hi):
         assert abs(fn(t) - want) <= 1e-13 * abs(want), f"t={t}"
 
 
-def test_small_t_thresholds_recorded():
-    assert K.KERNELS["t_cot_minus1"].small_t_threshold == K.SMALL_T
-    assert K.KERNELS["t_coth_minus1"].small_t_threshold == K.SMALL_T_HYPERBOLIC == 0.5
-    assert K.KERNELS["ratio_u5_u4"].small_t_threshold == 0.5
+RATIO_KERNELS = ("Fp(p=0.5)", "Fp(p=sqrt10/5)", "Gp(p=0.5)", "Gp(p=1/sqrt3)",
+                 "u(p=6/5)", "u(p=0.5)", "u(p=-1)", "ratio_u5_u4")
+
+
+@pytest.mark.parametrize("kid", list(K.KERNELS))
+def test_kernels_stay_finite_where_t_squared_underflows(kid):
+    # t^2 is subnormal below about 1.5e-154 and 0 below about 1.5e-162; the
+    # ratio kernels take their limit at 0+ there instead of a quotient of
+    # sums that have lost their digits
+    ts = (1e-300, 1e-158, 1e-120)
+    k = K.KERNELS[kid]
+    values = [k.fn(t) for t in ts]
+    block = k.fn(np.array(ts))
+    assert all(math.isfinite(v) for v in values), values
+    assert np.isfinite(block).all(), block
+    if kid in RATIO_KERNELS:
+        assert values == [k.limit_lo] * 3
+        assert block.tolist() == [k.limit_lo] * 3
 
 
 # --- monotonicity in the parameter and in t -------------------------------------
