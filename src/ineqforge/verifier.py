@@ -22,6 +22,7 @@ twin_tolerance_rel and twin_ok.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import sys
@@ -137,27 +138,37 @@ class _Grid:
 def _on_block(fn: Callable, *args):
     """fn on one block of grid points (the array arguments): a float array.
 
-    A constant member's float fills the block and a value that is not real
-    becomes nan. numpy's floating-point warnings are silenced: _LinkScan
-    reports every non-finite value as a DomainError naming the link.
+    A float64 array of the block's length is returned as it is, a constant
+    member's float fills the block and a value that is not real becomes nan.
+    numpy's floating-point warnings are silenced: _LinkScan reports every
+    non-finite value as a DomainError naming the link.
     """
     np = _np()
     n = max(len(a) for a in args if isinstance(a, np.ndarray))
     with np.errstate(all="ignore"):
         values = fn(*args)
+    if isinstance(values, np.ndarray) and values.dtype == np.float64 and values.shape == (n,):
+        return values
     if np.iscomplexobj(values):
         return np.full(n, np.nan)
     return np.broadcast_to(np.asarray(values, dtype=float), (n,))
 
 
+@functools.cache
+def _field_names(cls: type) -> tuple[str, ...] | None:
+    """The field names of a dataclass type, None for any other type."""
+    return tuple(f.name for f in fields(cls)) if is_dataclass(cls) else None
+
+
 def _plain(value):
     """A report value as JSON-ready data: dataclasses become dicts without their
     None fields, tuples become lists, everything else passes through."""
-    if is_dataclass(value):
+    names = _field_names(type(value))
+    if names is not None:
         return {
-            f.name: _plain(getattr(value, f.name))
-            for f in fields(value)
-            if getattr(value, f.name) is not None
+            name: _plain(item)
+            for name in names
+            if (item := getattr(value, name)) is not None
         }
     if isinstance(value, (list, tuple)):
         return [_plain(item) for item in value]
@@ -218,29 +229,28 @@ class ProbeReport(_Report):
 def _golden_refine(
     value_fn: Callable[[float], tuple[float, float]], a: float, b: float, depth: int
 ) -> tuple[float, float, float]:
-    """Golden-section minimization of the margin rhs - lhs on [a, b]."""
+    """Golden-section minimization of the margin rhs - lhs on [a, b]: the
+    lowest point with its side values, after depth + 2 calls of value_fn."""
 
-    def margin_at(x: float) -> float:
-        va, vb = value_fn(x)
-        return vb - va
+    def margin(sides: tuple[float, float]) -> float:
+        return sides[1] - sides[0]
 
     # Clamp the probe points: the update arithmetic can round an ulp outside
     # [a, b], and a reported argmin must stay inside the scanned bracket.
     c = max(a, min(b, b - _INV_GOLDEN * (b - a)))
     d = max(a, min(b, a + _INV_GOLDEN * (b - a)))
-    fc = margin_at(c)
-    fd = margin_at(d)
+    sc = value_fn(c)
+    sd = value_fn(d)
     for _ in range(depth):
-        if fc <= fd:
-            b, d, fd = d, c, fc
+        if margin(sc) <= margin(sd):
+            b, d, sd = d, c, sc
             c = max(a, min(b, b - _INV_GOLDEN * (b - a)))
-            fc = margin_at(c)
+            sc = value_fn(c)
         else:
-            a, c, fc = c, d, fd
+            a, c, sc = c, d, sd
             d = max(a, min(b, a + _INV_GOLDEN * (b - a)))
-            fd = margin_at(d)
-    x = c if fc <= fd else d
-    va, vb = value_fn(x)
+            sd = value_fn(d)
+    x, (va, vb) = (c, sc) if margin(sc) <= margin(sd) else (d, sd)
     return x, va, vb
 
 
@@ -258,6 +268,15 @@ class _LinkScan:
     the running minimum. A member value that is not real and finite, or an
     arithmetic failure while refining, is a DomainError naming ``where`` and
     the link. ``x_at`` maps a point's index to its coordinate.
+
+    A block skips the work its lowest margin rules out, and each skip is
+    exact. Every tie threshold is at least _TIE_REL, so a block whose lowest
+    margin is at least -_TIE_REL holds no violation and is not searched for
+    one. A block whose lowest margin lies above the running minimum plus
+    _FLOAT_SLACK times its largest threshold adds no near point, because
+    rounding is monotone; if it also left the minimum where it was, the near
+    set is not touched. The kept near points are filtered again only when
+    the minimum moves, as no other block can push one out.
     """
 
     def __init__(self, where: str, lhs_expr: str, rhs_expr: str, coord: str, x_at: Callable):
@@ -293,27 +312,34 @@ class _LinkScan:
             raise self._error(f"member value is not a finite real at {self.coord}={x!r}")
         m = b - a
         j = int(np.argmin(m))
-        if self.min_idx < 0 or m[j] < self.min_margin:
-            self.min_idx, self.min_margin = start + j, m[j].item()
+        low = m[j].item()
+        moved = self.min_idx < 0 or low < self.min_margin
+        if moved:
+            self.min_idx, self.min_margin = start + j, low
             self.min_sides = (a[j].item(), b[j].item())
-            self.min_violates = bool(m[j] < -theta[j])
+            self.min_violates = bool(low < -theta[j])
         self.has_positive = self.has_positive or bool((m > theta).any())
         self.all_zero = self.all_zero and not m.any()
-        violating = np.flatnonzero(m < -theta)
-        if len(violating):
-            j = int(violating[np.argmin(m[violating])])
-            if self.viol_idx < 0 or m[j] < self.viol_margin:
-                self.viol_idx, self.viol_margin = start + j, m[j].item()
-                self.viol_sides = (a[j].item(), b[j].item())
+        if low < -_TIE_REL:
+            violating = np.flatnonzero(m < -theta)
+            if len(violating):
+                j = int(violating[np.argmin(m[violating])])
+                if self.viol_idx < 0 or m[j] < self.viol_margin:
+                    self.viol_idx, self.viol_margin = start + j, m[j].item()
+                    self.viol_sides = (a[j].item(), b[j].item())
+        if not moved and low > self.min_margin + _FLOAT_SLACK * theta.max().item():
+            return
         # A point left out here is above the running minimum by more than
         # its slack, so it stays out of reach of every later minimum.
         near = np.flatnonzero(m <= self.min_margin + _FLOAT_SLACK * theta)
-        parts = [(start + near, m[near], theta[near])]
+        parts = (start + near, m[near], theta[near])
         if self.near is not None:
-            parts.insert(0, self.near)
-        idx, margins, thetas = (np.concatenate(p) for p in zip(*parts))
-        keep = margins <= self.min_margin + _FLOAT_SLACK * thetas
-        self.near = (idx[keep], margins[keep], thetas[keep])
+            parts = tuple(np.concatenate(p) for p in zip(self.near, parts))
+            if moved:
+                idx, margins, thetas = parts
+                keep = margins <= self.min_margin + _FLOAT_SLACK * thetas
+                parts = (idx[keep], margins[keep], thetas[keep])
+        self.near = parts
 
     def report(
         self, value_fn: Callable[[float], tuple[float, float]] | None, depth: int
