@@ -12,6 +12,7 @@ import contextlib
 import csv
 import dataclasses
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -229,24 +230,23 @@ def _cmd_table(args: argparse.Namespace) -> tuple[int, None]:
     if args.count < 2:
         raise IneqForgeError("--count must be at least 2")
     step = (stop - start) / (args.count - 1)
-    out = sys.stdout
-    handle = None
+    # Every row is computed before the output is opened, so a failing row
+    # leaves no partial table behind.
+    ts = [start + i * step for i in range(args.count)]
+    values = []
+    for t in ts:
+        try:
+            values.append(kernel.fn(t))
+        except ArithmeticError as exc:
+            raise IneqForgeError(f"{args.kernel} fails at t={t!r}: {exc}") from exc
     if args.csv and args.csv != "-":
-        handle = _open_output(args.csv, newline="")
-        out = handle
-    try:
+        output = _open_output(args.csv, newline="")
+    else:
+        output = contextlib.nullcontext(sys.stdout)
+    with output as out:
         writer = csv.writer(out)
         writer.writerow(["t", "value"])
-        for i in range(args.count):
-            t = start + i * step
-            try:
-                value = kernel.fn(t)
-            except ArithmeticError as exc:
-                raise IneqForgeError(f"{args.kernel} fails at t={t!r}: {exc}") from exc
-            writer.writerow([repr(t), repr(value)])
-    finally:
-        if handle is not None:
-            handle.close()
+        writer.writerows((repr(t), repr(value)) for t, value in zip(ts, values))
     return 0, None
 
 
@@ -328,9 +328,17 @@ def main(argv: Sequence[str] | None = None) -> int:
             code, payload = args.func(args)
         if json_path:
             _write_json(json_path, payload)
+        sys.stdout.flush()
     except IneqForgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed the pipe early, as `| head` does. stdout is
+        # pointed at devnull, so the flush at exit has nowhere to fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     return code
 
 

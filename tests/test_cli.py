@@ -3,12 +3,16 @@
 import csv
 import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from ineqforge import cli
 
 FAST = ["--samples", "801", "--refine-depth", "20"]
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -244,6 +248,32 @@ def test_table_arithmetic_failure_names_t(capsys):
                          "--count", "3")
     assert code == 2
     assert err.startswith("error: sinhc fails at t=1000.0")
+
+
+def test_table_failure_leaves_no_partial_file(capsys, tmp_path):
+    target = tmp_path / "part.csv"
+    code, out, err = run(capsys, "table", "sinhc", "--start", "1", "--stop", "1000",
+                         "--count", "3", "--csv", str(target))
+    assert code == 2
+    assert err.startswith("error: sinhc fails at t=1000.0")
+    assert not target.exists()
+
+
+def test_pipe_closed_early_exits_one_without_a_traceback():
+    # 200000 rows overfill any pipe buffer, so the writer is still writing
+    # when the reader goes away after the first line
+    with subprocess.Popen(
+        [sys.executable, "-m", "ineqforge.cli", "table", "sinc", "--count", "200000"],
+        env={"PYTHONPATH": str(SRC)},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    assert first == b"t,value\r\n"
+    assert proc.returncode == 1
+    assert err == b""
 
 
 def test_table_unknown_kernel(capsys):
