@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from ineqforge import catalog as C
 from ineqforge import kernels as K
 from ineqforge import means as M
+from ineqforge import series as S
 from ineqforge import verifier as V
 from ineqforge.cli import main
 from ineqforge.errors import DomainError
@@ -32,9 +33,9 @@ TIE_REL = 1e-13
 def reference_scan(lhs_vals, rhs_vals) -> dict:
     """The float loop the array scan replaced, without refinement.
 
-    Returns the verdict, the first smallest margin and its index, and the
-    step of the witness (the first deepest violation, or the minimum when
-    that is a violation too).
+    Returns the verdict, the first smallest margin and its index, the index
+    of the first deepest violation (-1 without one), and the step of the
+    witness (that violation, or the minimum when that is a violation too).
     """
     min_margin = math.inf
     min_idx = 0
@@ -67,22 +68,31 @@ def reference_scan(lhs_vals, rhs_vals) -> dict:
         candidates.append((min_idx, ra, rb))
     if candidates:
         step = min(candidates, key=lambda c: c[2] - c[1])[0]
-        return {"verdict": "falsified", "min_margin": min_margin, "argmin": min_idx, "step": step}
+        return {"verdict": "falsified", "min_margin": min_margin, "argmin": min_idx,
+                "viol_idx": viol_idx, "step": step}
     if all_zero:
-        return {"verdict": "falsified", "min_margin": 0.0, "argmin": 0, "step": None}
+        return {"verdict": "falsified", "min_margin": 0.0, "argmin": 0,
+                "viol_idx": viol_idx, "step": None}
     verdict = "verified_numeric" if has_positive else "inconclusive"
-    return {"verdict": verdict, "min_margin": min_margin, "argmin": min_idx, "step": None}
+    return {"verdict": verdict, "min_margin": min_margin, "argmin": min_idx,
+            "viol_idx": viol_idx, "step": None}
 
 
-def array_scan(lhs_vals, rhs_vals) -> dict:
+def block_scan(lhs_vals, rhs_vals) -> V._LinkScan:
     a = np.asarray(lhs_vals, dtype=float)
     b = np.asarray(rhs_vals, dtype=float)
     scan = V._LinkScan("scan", "lhs", "rhs", "step", int)
     for start in range(0, len(a), V._BLOCK):
         scan.add(a[start:start + V._BLOCK], b[start:start + V._BLOCK])
+    return scan
+
+
+def array_scan(lhs_vals, rhs_vals) -> dict:
+    scan = block_scan(lhs_vals, rhs_vals)
     link = scan.report(None, 0)
     step = None if link.witness is None else link.witness["step"]
-    return {"verdict": link.verdict, "min_margin": link.min_margin, "argmin": link.argmin, "step": step}
+    return {"verdict": link.verdict, "min_margin": link.min_margin, "argmin": link.argmin,
+            "viol_idx": scan.viol_idx, "step": step}
 
 
 # Values and margins chosen to hit exact ties, margins of exactly +-tie
@@ -118,6 +128,40 @@ def test_array_scan_matches_float_loop_across_blocks(points):
     assert array_scan(lhs, rhs) == reference_scan(lhs, rhs)
 
 
+# Margins in and around the float-recheck slack (0.15 tie thresholds) of a
+# violating minimum near -1e-3, besides ties and shallow violations.
+_NEAR_MARGIN = st.sampled_from(
+    [-1e-3, -1e-3 + 1e-14, -1e-3 + 1.5e-14, -1e-3 + 3e-14, -1e-3 - 1e-14, -1e-3 - 2e-14,
+     0.0, 1e-13, -1e-13, -1.1e-13, -2e-13, 5e-14, 1e-3]
+)
+_EDGE = st.sampled_from([0, 1, 2, 3, V._BLOCK - 1, V._BLOCK - 2])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([1e-3, 2e-13, 0.0]),
+    st.lists(st.tuples(st.integers(0, 3), _EDGE, _LHS, _NEAR_MARGIN), max_size=14),
+)
+def test_block_skips_keep_the_near_set_and_the_violation(background, points):
+    # minima, ties and violations planted at block edges, so that later blocks
+    # move the minimum, add near points to an unmoved one, or are skipped
+    n = 3 * V._BLOCK + 17
+    lhs = [0.5] * n
+    rhs = [0.5 + background] * n
+    for block, offset, a, m in points:
+        i = min(block * V._BLOCK + offset, n - 1)
+        lhs[i], rhs[i] = a, a + m
+    scan = block_scan(lhs, rhs)
+    margins = [b - a for a, b in zip(lhs, rhs)]
+    lowest = min(margins)
+    near = [
+        i for i, (m, a, b) in enumerate(zip(margins, lhs, rhs))
+        if m <= lowest + 0.15 * (TIE_REL * max(1.0, abs(a), abs(b)))
+    ]
+    assert scan.near[0].tolist() == near
+    assert scan.viol_idx == reference_scan(lhs, rhs)["viol_idx"]
+
+
 def test_array_scan_takes_first_of_repeated_minima():
     lhs = [0.0] * 6
     rhs = [1e-3, -1e-3, 5e-4, -1e-3, -1e-3, 1e-3]
@@ -135,6 +179,54 @@ def test_kernel_array_matches_floats_across_the_seams(kid):
     want = np.array([fn(float(x)) for x in xs])
     assert isinstance(got, np.ndarray) and got.shape == xs.shape
     assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+
+def _series_grid(switch: float, signed: bool = False) -> np.ndarray:
+    # 0, subnormal and underflowing t, a dense sweep, and t just below the switch
+    ts = np.concatenate([
+        [0.0, 5e-324, 1e-310, 2.2e-308, 1e-160, 1.5e-154, 1e-100, 1e-8],
+        np.geomspace(1e-300, switch, 4001)[:-1],
+        np.linspace(0.0, switch, 20001)[:-1],
+        [np.nextafter(switch, 0.0)],
+    ])
+    return np.concatenate([-ts[::-1], ts]) if signed else ts
+
+
+@pytest.mark.parametrize(
+    "coeffs, switch, alternating, signed",
+    [
+        pytest.param(lambda: S.tcm1_coefficients(), K.SMALL_T, False, False, id="tcm1"),
+        pytest.param(lambda: S.tcm1_coefficients(), K.SMALL_T_HYPERBOLIC, True, False,
+                     id="tcm1-alternating"),
+        pytest.param(lambda: S.g_numerator_coefficients(), K.SMALL_T, False, False,
+                     id="g_numerator"),
+        pytest.param(lambda: S.u5_coefficients(), 0.5, False, False, id="u5"),
+        pytest.param(lambda: S.u4_coefficients(), 0.5, False, False, id="u4"),
+        pytest.param(lambda: M._ATANH_COEFFS, 0.2, False, True, id="atanh"),
+    ],
+)
+def test_even_series_array_equals_floats_bit_for_bit(coeffs, switch, alternating, signed):
+    # the array sum runs every point to the same depth, unmasked; past a
+    # point's own stopping term each addition must round back to its sum
+    table = coeffs()
+    ts = _series_grid(switch, signed)
+    got = K._even_series(table, ts, alternating)
+    want = np.array([K._even_series(table, t, alternating) for t in ts.tolist()])
+    assert np.array_equal(got, want)
+
+
+def test_golden_refine_calls_value_fn_depth_plus_two_times():
+    calls = []
+
+    def value_fn(x):
+        calls.append(x)
+        return math.cos(x), 0.25 * (x - 0.3) ** 2 + math.cos(x)
+
+    for depth in (0, 1, 2, 7, 30):
+        calls.clear()
+        x, a, b = V._golden_refine(value_fn, 0.0, 1.0, depth)
+        assert len(calls) == depth + 2
+        assert x in calls and (a, b) == value_fn(x)
 
 
 def test_floats_in_floats_out():
