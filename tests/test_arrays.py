@@ -195,13 +195,13 @@ def _series_grid(switch: float, signed: bool = False) -> np.ndarray:
 @pytest.mark.parametrize(
     "coeffs, switch, alternating, signed",
     [
-        pytest.param(lambda: S.tcm1_coefficients(), K.SMALL_T, False, False, id="tcm1"),
-        pytest.param(lambda: S.tcm1_coefficients(), K.SMALL_T_HYPERBOLIC, True, False,
+        pytest.param(S.tcm1_coefficients, K.SMALL_T, False, False, id="tcm1"),
+        pytest.param(S.tcm1_coefficients, K.SMALL_T_HYPERBOLIC, True, False,
                      id="tcm1-alternating"),
-        pytest.param(lambda: S.g_numerator_coefficients(), K.SMALL_T, False, False,
+        pytest.param(S.g_numerator_coefficients, K.SMALL_T, False, False,
                      id="g_numerator"),
-        pytest.param(lambda: S.u5_coefficients(), 0.5, False, False, id="u5"),
-        pytest.param(lambda: S.u4_coefficients(), 0.5, False, False, id="u4"),
+        pytest.param(S.u5_coefficients, 0.5, False, False, id="u5"),
+        pytest.param(S.u4_coefficients, 0.5, False, False, id="u4"),
         pytest.param(lambda: M._ATANH_COEFFS, 0.2, False, True, id="atanh"),
     ],
 )
