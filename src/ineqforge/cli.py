@@ -103,14 +103,8 @@ def _write_json(path: str, payload: object) -> None:
 
 def _cmd_list(args: argparse.Namespace) -> tuple[int, None]:
     cat = load_catalog()
-    sections = []
-    if args.chains or not (args.chains or args.probes or args.kernels):
-        sections.append("chains")
-    if args.probes or not (args.chains or args.probes or args.kernels):
-        sections.append("probes")
-    if args.kernels or not (args.chains or args.probes or args.kernels):
-        sections.append("kernels")
-    if "chains" in sections:
+    every = not (args.chains or args.probes or args.kernels)
+    if args.chains or every:
         print("chains:")
         for cid in cat.chain_ids():
             chain = cat.get_chain(cid)
@@ -120,7 +114,7 @@ def _cmd_list(args: argparse.Namespace) -> tuple[int, None]:
             else:
                 where = f"{chain.substitution} substitution, scale {chain.scale}"
             print(f"  {cid:12s} {chain.kind:6s} {len(chain.members)} members, {where}")
-    if "probes" in sections:
+    if args.probes or every:
         print("probes:")
         for pid in cat.probe_ids():
             probe = cat.get_probe(pid)
@@ -128,7 +122,7 @@ def _cmd_list(args: argparse.Namespace) -> tuple[int, None]:
                 f"  {pid:12s} chain {probe.chain:8s} base {probe.base} "
                 f"direction {probe.direction} region {probe.region}"
             )
-    if "kernels" in sections:
+    if args.kernels or every:
         print("kernels:")
         for kid, kernel in kernels.KERNELS.items():
             limits = []

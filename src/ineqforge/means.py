@@ -75,6 +75,10 @@ def _validate_pair(pair):
     y = _real(y)
     ok = _xp(x).isfinite(x) & _xp(y).isfinite(y) & (x > 0.0) & (y > 0.0)
     if not _all(ok):
+        if not isinstance(ok, bool):  # arrays: name the first offending pair
+            np = _np()
+            i = int(np.argmin(ok))
+            x, y = (np.broadcast_to(v, ok.shape).flat[i].item() for v in (x, y))
         raise DomainError(f"pair entries must be positive finite, got ({x!r}, {y!r})")
     return x, y
 

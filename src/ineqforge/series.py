@@ -140,11 +140,19 @@ def series_eval(series_id: str, t: float, tol: float = 1e-14) -> tuple[float, in
 # Coefficient-ratio laws behind the monotone-ratio arguments.
 # ---------------------------------------------------------------------------
 
+def _lemma_terms(lemma: str, n: int) -> tuple[Fraction, Fraction]:
+    """The exact prefactor and threshold of an ml1 or ml2 ratio difference."""
+    q = 4 ** (n + 1) - 1
+    if lemma == "ml1":
+        return Fraction(q, 2 * n + 2), Fraction((n + 1) * (4**n - 1), n * q)
+    return Fraction(q, 2 * n + 3), Fraction((2 * n + 3) * (4**n - 1), (2 * n + 1) * q)
+
+
 def ml1_threshold(n: int) -> float:
     """(n+1)/n * (4^n - 1)/(4^(n+1) - 1); maximum 2/5 at n = 1, limit 1/4."""
     if not isinstance(n, int) or n < 1:
         raise DomainError("ml1_threshold: n must be a positive integer")
-    return float(Fraction((n + 1) * (4**n - 1), n * (4 ** (n + 1) - 1)))
+    return float(_lemma_terms("ml1", n)[1])
 
 
 def ml1_ratio_diff(p: float, n: int) -> float:
@@ -159,21 +167,21 @@ def ml1_ratio_diff(p: float, n: int) -> float:
         raise DomainError("ml1_ratio_diff: p must lie in (0, 1]")
     if not isinstance(n, int) or n < 1:
         raise DomainError("ml1_ratio_diff: n must be a positive integer")
-    prefactor = float(Fraction(4 ** (n + 1) - 1, 2 * n + 2))
-    return prefactor * p ** (2 * n) * (p * p - ml1_threshold(n))
+    prefactor, threshold = _lemma_terms("ml1", n)
+    return float(prefactor) * p ** (2 * n) * (p * p - float(threshold))
 
 
 def ml1_ratio_diff_exact(p_squared: Fraction, n: int) -> Fraction:
     """Exact-signed variant of ml1_ratio_diff taking p^2 as a rational."""
-    thr = Fraction((n + 1) * (4**n - 1), n * (4 ** (n + 1) - 1))
-    return Fraction(4 ** (n + 1) - 1, 2 * n + 2) * p_squared**n * (p_squared - thr)
+    prefactor, threshold = _lemma_terms("ml1", n)
+    return prefactor * p_squared**n * (p_squared - threshold)
 
 
 def ml2_threshold(n: int) -> float:
     """(2n+3)/(2n+1) * (4^n - 1)/(4^(n+1) - 1); maximum 1/3 at n = 1 and 2."""
     if not isinstance(n, int) or n < 1:
         raise DomainError("ml2_threshold: n must be a positive integer")
-    return float(Fraction((2 * n + 3) * (4**n - 1), (2 * n + 1) * (4 ** (n + 1) - 1)))
+    return float(_lemma_terms("ml2", n)[1])
 
 
 def ml2_ratio_diff(p: float, n: int) -> float:
@@ -185,13 +193,13 @@ def ml2_ratio_diff(p: float, n: int) -> float:
         raise DomainError("ml2_ratio_diff: p must lie in (0, 1]")
     if not isinstance(n, int) or n < 1:
         raise DomainError("ml2_ratio_diff: n must be a positive integer")
-    prefactor = float(Fraction(4 ** (n + 1) - 1, 2 * n + 3))
-    return prefactor * p ** (2 * n) * (p * p - ml2_threshold(n))
+    prefactor, threshold = _lemma_terms("ml2", n)
+    return float(prefactor) * p ** (2 * n) * (p * p - float(threshold))
 
 
 def ml2_ratio_diff_exact(p_squared: Fraction, n: int) -> Fraction:
-    thr = Fraction((2 * n + 3) * (4**n - 1), (2 * n + 1) * (4 ** (n + 1) - 1))
-    return Fraction(4 ** (n + 1) - 1, 2 * n + 3) * p_squared**n * (p_squared - thr)
+    prefactor, threshold = _lemma_terms("ml2", n)
+    return prefactor * p_squared**n * (p_squared - threshold)
 
 
 def m6_coeff_ratio(n: int) -> float:

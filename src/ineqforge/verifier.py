@@ -8,10 +8,13 @@ nonnegative up to a relative tie threshold and at least one margin is
 clearly positive; ties never count as evidence, so a chain of identical
 members cannot pass.
 
-Grids are numpy arrays, generated, evaluated and scanned in blocks of 4096
-points: one member call and a few array operations per block, and no
-grid-sized array per member. Golden-section refinement and every reported
-value stay plain floats.
+A grid is one numpy array of coordinates, evaluated and scanned in views of
+4096 points: one member call and a few array operations per block, and no
+grid-sized array per member or intermediate. Blocks are kept for speed and
+memory: scanning whole 20001-point grids instead read the benchmark's
+query_p50_ms 13-27% slower on all three workloads and means_dense's
+peak_rss_mb 10.3% higher. Golden-section refinement and every reported value
+stay plain floats.
 
 All verdicts are numeric evidence, not proof. Reports carry a reproducible
 witness (a concrete point with both side values) whenever something fails.
@@ -52,10 +55,14 @@ _TIE_REL = 1e-13
 # the packaged catalog; grid points within 0.15 of a violating minimum are
 # evaluated again as floats.
 _FLOAT_SLACK = 0.15
-# Grids are generated, evaluated and scanned in blocks of this many points,
-# so a check holds 32 KB arrays where whole 20001-point grids would take
-# 160 KB per member and intermediate: about 1 MB less peak memory.
+# Grids are evaluated and scanned in blocks of this many points, so a check
+# holds 32 KB arrays where a whole 20001-point grid takes 160 KB per member
+# and intermediate. Scanning whole grids was measured 13-27% slower per query
+# on every benchmark workload, with 10.3% more peak memory on means_dense.
 _BLOCK = 4096
+# Golden-section steps per refinement: the bracket of two grid steps shrinks
+# by 0.618**30, about 5e-7, to under 1e-10 of the domain at 20001 samples.
+_REFINE_STEPS = 30
 _TWIN_REL = 1e-10
 _SPOT_REL = 1e-9
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -69,7 +76,6 @@ class VerificationConfig:
     """Grid sizes and tolerances shared by every check."""
 
     samples: int = 20001
-    refine_depth: int = 30
     endpoint_eps: float = 1e-9
     ratio_max: float = 100.0
     ratio_samples: int = 100
@@ -82,8 +88,6 @@ class VerificationConfig:
                 raise DomainError(f"{f.name} must be finite, got {value!r}")
         if self.samples < 3:
             raise DomainError("samples must be at least 3")
-        if self.refine_depth < 0:
-            raise DomainError("refine_depth must be nonnegative")
         if not 0.0 < self.endpoint_eps < 0.5:
             raise DomainError("endpoint_eps must lie in (0, 0.5)")
         if not self.ratio_max > 1.0:
@@ -99,54 +103,31 @@ def _inset(lo: float, hi: float, eps: float) -> tuple[float, float]:
     return lo + eps * span, hi - eps * span
 
 
-class _Grid:
-    """n points origin + (i + shift) * step, generated a block at a time.
-
-    With ``end`` set the last point is exactly ``end``: the formula can round
-    past it.
-    """
-
-    def __init__(self, origin: float, step: float, n: int, shift: int = 0, end: float | None = None):
-        self.origin = origin
-        self.step = step
-        self.n = n
-        self.shift = shift
-        self.end = end
-
-    @classmethod
-    def between(cls, lo: float, hi: float, n: int) -> "_Grid":
-        return cls(lo, (hi - lo) / (n - 1), n, end=hi)
-
-    def x(self, i: int) -> float:
-        if i == self.n - 1 and self.end is not None:
-            return self.end
-        return self.origin + (i + self.shift) * self.step
-
-    def blocks(self):
-        """The points as arrays of at most _BLOCK, in order."""
-        np = _np()
-        for start in range(0, self.n, _BLOCK):
-            stop = min(start + _BLOCK, self.n)
-            xs = np.arange(start + self.shift, stop + self.shift, dtype=float)
-            xs *= self.step
-            xs += self.origin
-            if stop == self.n and self.end is not None:
-                xs[-1] = self.end
-            yield xs
+# What evaluating a member can raise: each becomes a DomainError naming the
+# check and the member.
+_EVAL_ERRORS = (DomainError, ArithmeticError, ValueError, TypeError)
 
 
-def _on_block(fn: Callable, *args):
+def _eval_error(where: str, expr: str, exc: Exception) -> DomainError:
+    return DomainError(f"{where}: cannot evaluate {expr}: {exc}")
+
+
+def _on_block(where: str, expr: str, fn: Callable, *args):
     """fn on one block of grid points (the array arguments): a float array.
 
     A float64 array of the block's length is returned as it is, a constant
     member's float fills the block and a value that is not real becomes nan.
     numpy's floating-point warnings are silenced: _LinkScan reports every
-    non-finite value as a DomainError naming the link.
+    non-finite value as a DomainError naming the link. An error raised by fn
+    is a DomainError naming the check ``where`` and fn's expression ``expr``.
     """
     np = _np()
     n = max(len(a) for a in args if isinstance(a, np.ndarray))
-    with np.errstate(all="ignore"):
-        values = fn(*args)
+    try:
+        with np.errstate(all="ignore"):
+            values = fn(*args)
+    except _EVAL_ERRORS as exc:
+        raise _eval_error(where, expr, exc) from exc
     if isinstance(values, np.ndarray) and values.dtype == np.float64 and values.shape == (n,):
         return values
     if np.iscomplexobj(values):
@@ -227,10 +208,11 @@ class ProbeReport(_Report):
 
 
 def _golden_refine(
-    value_fn: Callable[[float], tuple[float, float]], a: float, b: float, depth: int
+    value_fn: Callable[[float], tuple[float, float]], a: float, b: float
 ) -> tuple[float, float, float]:
     """Golden-section minimization of the margin rhs - lhs on [a, b]: the
-    lowest point with its side values, after depth + 2 calls of value_fn."""
+    lowest point with its side values, after _REFINE_STEPS + 2 calls of
+    value_fn."""
 
     def margin(sides: tuple[float, float]) -> float:
         return sides[1] - sides[0]
@@ -241,7 +223,7 @@ def _golden_refine(
     d = max(a, min(b, a + _INV_GOLDEN * (b - a)))
     sc = value_fn(c)
     sd = value_fn(d)
-    for _ in range(depth):
+    for _ in range(_REFINE_STEPS):
         if margin(sc) <= margin(sd):
             b, d, sd = d, c, sc
             c = max(a, min(b, b - _INV_GOLDEN * (b - a)))
@@ -265,9 +247,9 @@ class _LinkScan:
     evidence a margin above +tie. The scan keeps the first smallest margin and
     the first deepest violation with their side values, whether any margin is
     positive or nonzero, and the points within _FLOAT_SLACK tie thresholds of
-    the running minimum. A member value that is not real and finite, or an
-    arithmetic failure while refining, is a DomainError naming ``where`` and
-    the link. ``x_at`` maps a point's index to its coordinate.
+    the running minimum. A member value that is not real and finite, or a
+    failure while refining, is a DomainError naming ``where`` and the link.
+    ``x_at`` maps a point's index to its coordinate.
 
     A block skips the work its lowest margin rules out, and each skip is
     exact. Every tie threshold is at least _TIE_REL, so a block whose lowest
@@ -341,16 +323,15 @@ class _LinkScan:
                 parts = (idx[keep], margins[keep], thetas[keep])
         self.near = parts
 
-    def report(
-        self, value_fn: Callable[[float], tuple[float, float]] | None, depth: int
-    ) -> LinkReport:
-        """The link's verdict; with depth > 0 the grid minimum is refined by
-        golden-section search through value_fn, which depth 0 never calls."""
+    def report(self, value_fn: Callable[[float], tuple[float, float]] | None) -> LinkReport:
+        """The link's verdict. Given value_fn, the float sides at a coordinate,
+        the grid minimum is refined by golden-section search; without it the
+        grid minimum is reported as it is."""
         x_at = self.x_at
         min_idx, viol_idx = self.min_idx, self.viol_idx
         try:
             ra, rb = self.min_sides
-            if depth > 0 and self.min_violates:
+            if value_fn is not None and self.min_violates:
                 # numpy and math can differ in the last bits, enough to move
                 # the first minimum inside a flat valley and the refinement
                 # bracket with it. The points near a violating minimum are
@@ -368,11 +349,11 @@ class _LinkScan:
             min_margin = rb - ra
 
             # Narrow dips can fall between grid nodes; refine around the grid minimum.
-            if depth > 0 and self.n > 1:
+            if value_fn is not None and self.n > 1:
                 bracket_lo = x_at(max(0, min_idx - 1))
                 bracket_hi = x_at(min(self.n - 1, min_idx + 1))
                 if bracket_hi > bracket_lo:
-                    x2, a2, b2 = _golden_refine(value_fn, bracket_lo, bracket_hi, depth)
+                    x2, a2, b2 = _golden_refine(value_fn, bracket_lo, bracket_hi)
                     if (b2 - a2) < min_margin:
                         rx, ra, rb = x2, a2, b2
                         min_margin = b2 - a2
@@ -384,7 +365,7 @@ class _LinkScan:
                 candidates.append((x_at(viol_idx), *self.viol_sides))
             if _violates(ra, rb):
                 candidates.append((rx, ra, rb))
-        except (ArithmeticError, ValueError, TypeError) as exc:
+        except _EVAL_ERRORS as exc:
             raise self._error(exc) from exc
         lhs_expr, rhs_expr = self.lhs_expr, self.rhs_expr
         if candidates:
@@ -423,17 +404,18 @@ def _chain_verdict(links: Iterable[LinkReport]) -> str:
 
 
 def _check_links(
-    where: str, names: Sequence[str], fns: Sequence[Callable], grid: _Grid, depth: int, *params
+    where: str, names: Sequence[str], fns: Sequence[Callable], ts, *params
 ) -> list[LinkReport]:
-    """Every adjacent pair of members fn(*params, t) scanned over the grid and
-    refined: a kernel chain, or a probe as a two-member chain."""
-    scans = [_LinkScan(where, lhs, rhs, "t", grid.x) for lhs, rhs in zip(names, names[1:])]
-    for ts in grid.blocks():
-        values = [_on_block(fn, *params, ts) for fn in fns]
+    """Every adjacent pair of members fn(*params, t) scanned over the grid ts
+    and refined: a kernel chain, or a probe as a two-member chain."""
+    scans = [_LinkScan(where, lhs, rhs, "t", ts.item) for lhs, rhs in zip(names, names[1:])]
+    for start in range(0, len(ts), _BLOCK):
+        block = ts[start:start + _BLOCK]
+        values = [_on_block(where, name, fn, *params, block) for name, fn in zip(names, fns)]
         for scan, lhs_vals, rhs_vals in zip(scans, values, values[1:]):
             scan.add(lhs_vals, rhs_vals)
     return [
-        scan.report(lambda t, lf=lf, rf=rf: (lf(*params, t), rf(*params, t)), depth)
+        scan.report(lambda t, lf=lf, rf=rf: (lf(*params, t), rf(*params, t)))
         for scan, lf, rf in zip(scans, fns, fns[1:])
     ]
 
@@ -451,23 +433,32 @@ def _verify_mean_chain(
     chain: Chain, config: VerificationConfig
 ) -> tuple[list[LinkReport], float, bool]:
     np = _np()
-    grid = _Grid(1.0, (config.ratio_max - 1.0) / config.ratio_samples, config.ratio_samples, shift=1)
+    where = f"chain {chain.id}"
+    step = (config.ratio_max - 1.0) / config.ratio_samples
+    ratios = 1.0 + np.arange(1, config.ratio_samples + 1) * step
     fns = chain.member_fns
     scans = [
-        _LinkScan(f"chain {chain.id}", lhs, rhs, "ratio", grid.x)
+        _LinkScan(where, lhs, rhs, "ratio", ratios.item)
         for lhs, rhs in zip(chain.members, chain.members[1:])
     ]
     sub = np.asin if chain.substitution == "arcsin" else np.atan
     twin_max = 0.0
     twin_ok = True
-    for ratios in grid.blocks():
-        vec = _mean_args(chain, ratios)
-        values = [_on_block(fn, *vec) for fn in fns]
+    for start in range(0, len(ratios), _BLOCK):
+        block = ratios[start:start + _BLOCK]
+        try:
+            vec = _mean_args(chain, block)
+        except _EVAL_ERRORS as exc:
+            raise _eval_error(where, f"the means {', '.join(chain.mean_kinds)}", exc) from exc
+        values = [_on_block(where, name, fn, *vec) for name, fn in zip(chain.members, fns)]
         for scan, lhs_vals, rhs_vals in zip(scans, values, values[1:]):
             scan.add(lhs_vals, rhs_vals)
-        ts = sub((ratios - 1.0) / (ratios + 1.0))
-        scale = _on_block(chain.scale_fn, *vec)
-        twins = [scale * _on_block(fn, ts) for fn in chain.twin_fns]
+        ts = sub((block - 1.0) / (block + 1.0))
+        scale = _on_block(where, chain.scale, chain.scale_fn, *vec)
+        twins = [
+            scale * _on_block(where, name, fn, ts)
+            for name, fn in zip(chain.twin_members, chain.twin_fns)
+        ]
         for lhs_vals, rhs_vals, lhs_twin, rhs_twin in zip(values, values[1:], twins, twins[1:]):
             kern_margin = rhs_twin - lhs_twin
             deviation = np.abs(rhs_vals - lhs_vals - kern_margin)
@@ -482,7 +473,7 @@ def _verify_mean_chain(
             vec = _mean_args(chain, r)
             return lf(*vec), rf(*vec)
 
-        link = scan.report(value_fn, config.refine_depth)
+        link = scan.report(value_fn)
         if link.witness is not None:
             link.witness["pair"] = [link.witness["ratio"], 1.0]
         links.append(link)
@@ -506,10 +497,8 @@ def verify_chain(
     start = time.perf_counter()
     twin_max = twin_rel = twin_ok = note = None
     if chain.kind == "kernel":
-        grid = _Grid.between(*_inset(*chain.domain, cfg.endpoint_eps), cfg.samples)
-        links = _check_links(
-            f"chain {chain.id}", chain.members, chain.member_fns, grid, cfg.refine_depth
-        )
+        ts = _np().linspace(*_inset(*chain.domain, cfg.endpoint_eps), cfg.samples)
+        links = _check_links(f"chain {chain.id}", chain.members, chain.member_fns, ts)
     else:
         links, twin_max, twin_ok = _verify_mean_chain(chain, cfg)
         twin_rel = _TWIN_REL
@@ -564,8 +553,7 @@ def probe_sharpness(
         f"probe {probe.id}",
         (probe.lhs, probe.rhs),
         (probe.lhs_fn, probe.rhs_fn),
-        _Grid.between(rlo, rhi, cfg.samples),
-        cfg.refine_depth,
+        _np().linspace(rlo, rhi, cfg.samples),
         parameter,
     )
     broke = link.verdict == "falsified" and link.witness is not None
@@ -643,8 +631,11 @@ def verify_monotone(
     cfg = config or VerificationConfig()
     np = _np()
     glo, ghi = _inset(k.lo, k.hi, cfg.endpoint_eps)
-    grid = _Grid.between(glo, ghi, cfg.samples)
-    values = np.concatenate([_on_block(k.fn, ts) for ts in grid.blocks()])
+    where = f"kernel {kernel_id}"
+    ts = np.linspace(glo, ghi, cfg.samples)
+    values = np.concatenate(
+        [_on_block(where, kernel_id, k.fn, ts[s:s + _BLOCK]) for s in range(0, len(ts), _BLOCK)]
+    )
     sign = 1.0 if direction == "increasing" else -1.0
 
     # Step i is a link from values[i] to values[i + 1]: for an increasing
@@ -654,21 +645,21 @@ def verify_monotone(
     if direction == "decreasing":
         sides.reverse()
     (lhs_name, lhs_vals), (rhs_name, rhs_vals) = sides
-    scan = _LinkScan(f"kernel {kernel_id}", lhs_name, rhs_name, "step", int)
+    scan = _LinkScan(where, lhs_name, rhs_name, "step", int)
     for start in range(0, len(lhs_vals), _BLOCK):
         scan.add(lhs_vals[start:start + _BLOCK], rhs_vals[start:start + _BLOCK])
-    link = scan.report(None, 0)
+    link = scan.report(None)
     j = link.argmin
     # Recomputed rather than taken from min_margin: a flat step of a
     # decreasing kernel is -0.0 here, and the report keeps that sign.
     worst_step = sign * (values[j + 1] - values[j]).item()
-    worst_at = grid.x(j)
+    worst_at = ts.item(j)
     witness = None
     if link.witness is not None:
         i = link.witness["step"]
         witness = {
-            "t": grid.x(i),
-            "t_next": grid.x(i + 1),
+            "t": ts.item(i),
+            "t_next": ts.item(i + 1),
             "value": values[i].item(),
             "value_next": values[i + 1].item(),
         }
@@ -678,8 +669,8 @@ def verify_monotone(
     rng = random.Random(20260816)
     h = (ghi - glo) * 1e-6
     xs = glo + (ghi - glo) * np.array([rng.random() for _ in range(100)])
-    fa = _on_block(k.fn, np.maximum(xs - h, glo))
-    fb = _on_block(k.fn, np.minimum(xs + h, ghi))
+    fa = _on_block(where, kernel_id, k.fn, np.maximum(xs - h, glo))
+    fb = _on_block(where, kernel_id, k.fn, np.minimum(xs + h, ghi))
     bad = sign * (fb - fa) < -_SPOT_REL * np.maximum(np.maximum(np.abs(fa), np.abs(fb)), 1.0)
     spots_ok = not bad.any()
     spot_witness = None

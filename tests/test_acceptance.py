@@ -282,7 +282,7 @@ def test_criterion_8_means_property_suite():
 
 def test_criterion_9_mutation_sensitivity():
     cat = C.load_catalog()
-    cfg = V.VerificationConfig(samples=2001, refine_depth=25)
+    cfg = V.VerificationConfig(samples=2001)
     rng = random.Random(0x40B5)
     failures = []
     picks = []

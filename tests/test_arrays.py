@@ -6,8 +6,10 @@ and the report types are pinned: numpy must not leak into reports or CSV,
 nor be imported by loading the package.
 """
 
+import dataclasses
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -26,7 +28,7 @@ from ineqforge.cli import main
 from ineqforge.errors import DomainError
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-SMALL = V.VerificationConfig(samples=801, refine_depth=20)
+SMALL = V.VerificationConfig(samples=801)
 TIE_REL = 1e-13
 
 
@@ -89,7 +91,7 @@ def block_scan(lhs_vals, rhs_vals) -> V._LinkScan:
 
 def array_scan(lhs_vals, rhs_vals) -> dict:
     scan = block_scan(lhs_vals, rhs_vals)
-    link = scan.report(None, 0)
+    link = scan.report(None)
     step = None if link.witness is None else link.witness["step"]
     return {"verdict": link.verdict, "min_margin": link.min_margin, "argmin": link.argmin,
             "viol_idx": scan.viol_idx, "step": step}
@@ -222,11 +224,9 @@ def test_golden_refine_calls_value_fn_depth_plus_two_times():
         calls.append(x)
         return math.cos(x), 0.25 * (x - 0.3) ** 2 + math.cos(x)
 
-    for depth in (0, 1, 2, 7, 30):
-        calls.clear()
-        x, a, b = V._golden_refine(value_fn, 0.0, 1.0, depth)
-        assert len(calls) == depth + 2
-        assert x in calls and (a, b) == value_fn(x)
+    x, a, b = V._golden_refine(value_fn, 0.0, 1.0)
+    assert len(calls) == V._REFINE_STEPS + 2
+    assert x in calls and (a, b) == value_fn(x)
 
 
 def test_floats_in_floats_out():
@@ -261,6 +261,53 @@ def test_non_finite_member_value_names_the_link():
          "members": ["cos(t)", "log(cos(t))"]}
     )
     with pytest.raises(DomainError, match="chain bad: cannot assess cos"):
+        V.verify_chain(chain, SMALL)
+
+
+def test_failing_member_evaluation_names_the_chain_and_member():
+    # cosh(t) overflows past t = 710, and wpm rejects the infinite entry
+    chain = C._build_chain(
+        {"id": "big", "kind": "kernel", "domain": ["1", "800"],
+         "members": ["wpm(6/5, 2/3, cosh(t), 1)", "exp_tcoth(t)"]}
+    )
+    with pytest.raises(DomainError) as info:
+        V.verify_chain(chain, V.VerificationConfig(samples=2001))
+    message = str(info.value)
+    assert message.startswith("chain big: cannot evaluate wpm(")
+    assert "got (inf, 1.0)" in message and "array(" not in message
+
+
+def _boom(*args):
+    raise ZeroDivisionError("boom")
+
+
+@pytest.mark.parametrize(
+    "field, expr",
+    [
+        ("member", "boom(x)"),
+        ("scale", "boom(scale)"),
+        ("twin", "boom(twin)"),
+        ("means", "the means"),
+    ],
+)
+def test_failing_mean_chain_evaluation_names_the_chain_and_expression(
+    monkeypatch, field, expr
+):
+    chain = C.load_catalog().get_chain("M1c-i1")
+    if field == "member":
+        chain = dataclasses.replace(
+            chain, members=(expr,) + chain.members[1:], member_fns=(_boom,) + chain.member_fns[1:]
+        )
+    elif field == "scale":
+        chain = dataclasses.replace(chain, scale=expr, scale_fn=_boom)
+    elif field == "twin":
+        chain = dataclasses.replace(
+            chain, twin_members=(expr,) + chain.twin_members[1:],
+            twin_fns=(_boom,) + chain.twin_fns[1:],
+        )
+    else:
+        monkeypatch.setattr(V, "mean_bundle", _boom)
+    with pytest.raises(DomainError, match=rf"^chain M1c-i1: cannot evaluate {re.escape(expr)}.*boom"):
         V.verify_chain(chain, SMALL)
 
 
@@ -320,13 +367,12 @@ def test_flat_valley_witness_is_the_float_scan_one():
     probe = C.load_catalog().get_probe("M6a-q")
     report = V.probe_sharpness(probe, cfg)
     p = report.parameter
-    grid = V._Grid.between(*report.interval, cfg.samples)
-    grid = [grid.x(i) for i in range(cfg.samples)]
+    grid = np.linspace(*report.interval, cfg.samples).tolist()
     lhs = [probe.lhs_fn(p, t) for t in grid]
     rhs = [probe.rhs_fn(p, t) for t in grid]
     i = reference_scan(lhs, rhs)["argmin"]
     x, a, b = V._golden_refine(
-        lambda t: (probe.lhs_fn(p, t), probe.rhs_fn(p, t)), grid[i - 1], grid[i + 1], cfg.refine_depth
+        lambda t: (probe.lhs_fn(p, t), probe.rhs_fn(p, t)), grid[i - 1], grid[i + 1]
     )
     assert b - a < rhs[i] - lhs[i]
     assert report.witness == {"t": x, "lhs": a, "rhs": b, "margin": b - a}
@@ -344,8 +390,7 @@ def test_float_recheck_covers_a_flat_valley_of_any_width():
     )
     report = V.verify_chain(chain, cfg)
     lf, rf = chain.member_fns
-    grid = V._Grid.between(*V._inset(*chain.domain, cfg.endpoint_eps), cfg.samples)
-    ts = [grid.x(i) for i in range(cfg.samples)]
+    ts = np.linspace(*V._inset(*chain.domain, cfg.endpoint_eps), cfg.samples).tolist()
     lhs = [lf(t) for t in ts]
     rhs = [rf(t) for t in ts]
     margins = [b - a for a, b in zip(lhs, rhs)]
@@ -355,8 +400,7 @@ def test_float_recheck_covers_a_flat_valley_of_any_width():
     assert near > 64
     i = reference_scan(lhs, rhs)["argmin"]
     refined = V._golden_refine(
-        lambda t: (lf(t), rf(t)), ts[max(i - 1, 0)], ts[min(i + 1, cfg.samples - 1)],
-        cfg.refine_depth,
+        lambda t: (lf(t), rf(t)), ts[max(i - 1, 0)], ts[min(i + 1, cfg.samples - 1)]
     )
     x, a, b = min([(ts[i], lhs[i], rhs[i]), refined], key=lambda c: c[2] - c[1])
     assert report.links[0].witness == {"t": x, "lhs": a, "rhs": b, "margin": b - a}

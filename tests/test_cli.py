@@ -11,7 +11,7 @@ import pytest
 
 from ineqforge import cli
 
-FAST = ["--samples", "801", "--refine-depth", "20"]
+FAST = ["--samples", "801"]
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -303,7 +303,7 @@ def test_suite_small_passes_with_one_line_per_check(capsys, tmp_path):
 
 def test_config_file_is_read(capsys, tmp_path):
     cfg = tmp_path / "verify.cfg"
-    cfg.write_text("samples = 801\nrefine_depth = 20  # comment\n\n")
+    cfg.write_text("samples = 801\nepsilon = 0.001  # comment\n\n")
     code, out, err = run(capsys, "verify", "M1", "--config", str(cfg))
     assert code == 0
 
@@ -313,7 +313,7 @@ def test_flag_beats_config_file(capsys, tmp_path):
     # samples=2 would be rejected by VerificationConfig; the flag must win
     cfg.write_text("samples = 2\n")
     code, out, err = run(capsys, "verify", "M1", "--config", str(cfg),
-                         "--samples", "801", "--refine-depth", "20")
+                         "--samples", "801")
     assert code == 0
 
 
@@ -336,3 +336,20 @@ def test_invalid_config_value_is_a_clean_error(capsys):
     code, out, err = run(capsys, "verify", "M1", "--samples", "2")
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("config", [None, "refine_depth = 20\n"])
+def test_refine_depth_is_gone_from_flags_and_config_files(tmp_path, config):
+    argv = ["verify", "M1"]
+    if config is None:
+        argv += ["--refine-depth", "20"]
+    else:
+        path = tmp_path / "old.cfg"
+        path.write_text(config)
+        argv += ["--config", str(path)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "ineqforge.cli", *argv],
+        env={"PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "refine" in proc.stderr and "Traceback" not in proc.stderr

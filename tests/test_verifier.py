@@ -15,7 +15,7 @@ from ineqforge import verifier as V
 from ineqforge.errors import DomainError
 from ineqforge.verifier import VerificationConfig
 
-SMALL = VerificationConfig(samples=801, refine_depth=20)
+SMALL = VerificationConfig(samples=801)
 
 
 @pytest.fixture(scope="module")
@@ -28,7 +28,6 @@ def cat():
 def test_config_defaults():
     cfg = VerificationConfig()
     assert cfg.samples == 20001
-    assert cfg.refine_depth == 30
     assert cfg.endpoint_eps == 1e-9
     assert cfg.ratio_max == 100.0
     assert cfg.ratio_samples == 100
@@ -40,7 +39,7 @@ def test_config_defaults():
     [
         {"samples": 2},
         {"samples": -5},
-        {"refine_depth": -1},
+        {"ratio_samples": 1},
         {"endpoint_eps": 0.0},
         {"endpoint_eps": 0.5},
         {"ratio_max": 1.0},
@@ -287,7 +286,7 @@ def test_repeated_verification_is_deterministic(cat):
 
 def test_report_key_sets_are_stable(cat):
     config_keys = {
-        "samples", "refine_depth", "endpoint_eps", "ratio_max", "ratio_samples", "epsilon",
+        "samples", "endpoint_eps", "ratio_max", "ratio_samples", "epsilon",
     }
     kernel = V.verify_chain("M1", SMALL, cat).to_dict()
     assert set(kernel) == {"chain", "kind", "verdict", "config", "elapsed_s", "links"}
