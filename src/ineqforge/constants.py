@@ -17,14 +17,13 @@ from .errors import BracketError, ConvergenceError, DomainError
 from .kernels import ln_cos
 
 _MAX_ITERATIONS = 200
+_TOL = 1e-15
 
 
-def solve_root(residual: Callable[[float], float],
-               bracket: Sequence[float],
-               tol: float = 1e-15) -> float:
+def solve_root(residual: Callable[[float], float], bracket: Sequence[float]) -> float:
     """Bisect residual to a root inside bracket.
 
-    Converges when the bracket width drops below tol * max(1, |midpoint|).
+    Converges when the bracket width drops below 1e-15 * max(1, |midpoint|).
     Raises BracketError when the residual does not change sign over the
     bracket and ConvergenceError if 200 bisections are not enough.
     """
@@ -36,8 +35,6 @@ def solve_root(residual: Callable[[float], float],
     hi = float(hi)
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise DomainError(f"bracket must satisfy lo < hi, got ({lo!r}, {hi!r})")
-    if not tol > 0.0:
-        raise DomainError(f"tol must be positive, got {tol!r}")
     f_lo = residual(lo)
     f_hi = residual(hi)
     if f_lo == 0.0:
@@ -49,7 +46,7 @@ def solve_root(residual: Callable[[float], float],
             f"residual has the same sign at both ends of ({lo!r}, {hi!r})")
     for _ in range(_MAX_ITERATIONS):
         mid = 0.5 * (lo + hi)
-        if hi - lo < tol * max(1.0, abs(mid)):
+        if hi - lo < _TOL * max(1.0, abs(mid)):
             return mid
         f_mid = residual(mid)
         if f_mid == 0.0:
@@ -62,22 +59,20 @@ def solve_root(residual: Callable[[float], float],
         f"no convergence after {_MAX_ITERATIONS} bisections on ({lo!r}, {hi!r})")
 
 
-def _endpoint_exponent_residual(target_log: float) -> Callable[[float], float]:
-    """Residual ln cos(p pi/2)/p - target_log, the right-endpoint matching equation."""
-    def residual(p: float) -> float:
-        return ln_cos(p * math.pi / 2.0) / p - target_log
-    return residual
+def _endpoint_residual(p: float, target_log: float) -> float:
+    """ln cos(p pi/2)/p - target_log, the right-endpoint matching equation."""
+    return ln_cos(p * math.pi / 2.0) / p - target_log
 
 
 # Residuals of the defining equations, exposed for direct inspection.
 def p1_residual(p: float) -> float:
     """Zero where (cos(p pi/2))^(1/p) equals 1/e."""
-    return _endpoint_exponent_residual(-1.0)(p)
+    return _endpoint_residual(p, -1.0)
 
 
 def p0_residual(p: float) -> float:
     """Zero where (cos(p pi/2))^(1/p) equals 2/pi."""
-    return _endpoint_exponent_residual(math.log(2.0 / math.pi))(p)
+    return _endpoint_residual(p, math.log(2.0 / math.pi))
 
 
 def beta_residual(beta: float) -> float:

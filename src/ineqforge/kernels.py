@@ -14,9 +14,9 @@ library's in the last bit, so array and float values may too.
 
 The even power series are the exception: on arrays they equal the float sums
 bit for bit, though an array sums every point to the same depth and a float
-stops at its own first term of at most 1e-17 of the sum. The terms never
-grow, so each term past that one is below half an ulp of the sum (at least
-5.55e-17 of it) and adding it rounds back to the same double.
+stops at its own first check after a term of at most 1e-17 of the sum. The
+terms never grow, so each term past that one is below half an ulp of the sum
+(at least 5.55e-17 of it) and adding it rounds back to the same double.
 
 A registry maps stable string ids (e.g. ``sinc``, ``Fp(p=0.5)``) to Kernel
 records carrying the open domain and the analytic endpoint limits. Endpoint
@@ -149,7 +149,7 @@ def _tcm1_direct(t):
     return t / _xp(t).tan(t) - 1.0
 
 
-# An array sum tests for convergence every this many terms; a float every term.
+# A sum tests for convergence every this many terms.
 _SERIES_CHECK_EVERY = 4
 
 
@@ -158,24 +158,22 @@ def _even_series(coeffs: tuple[float, ...], t, alternating: bool = False):
     at relative 1e-17 or on a zero term (t^2 can underflow).
 
     The coefficients are positive and decreasing and t^2 <= 1 on every table's
-    range, so the terms never grow. A float stops at its first term of at
-    most 1e-17 |acc|. Every later term is then smaller still, below half an
-    ulp of acc (at least 5.55e-17 |acc|), so adding or subtracting it rounds
-    back to acc. An array therefore sums every point on, unmasked, until all
-    of its points have met the test at one of the rounds where it is checked,
-    and each point equals its float sum bit for bit.
+    range, so the terms never grow. Once a term is at most 1e-17 |acc|, every
+    later term is smaller still, below half an ulp of acc (at least
+    5.55e-17 |acc|), so adding or subtracting it rounds back to acc. Any
+    later check may therefore stop the sum: an array sums every point on,
+    unmasked, until all of them pass one check, and equals its float sums.
     """
     t2 = t * t
     power = t * t
     acc = 0.0
-    every = 1 if getattr(t, "ndim", 0) == 0 else _SERIES_CHECK_EVERY
     for n, c in enumerate(coeffs):
         term = c * power
         if alternating and n % 2:
             acc -= term
         else:
             acc += term
-        if n % every == every - 1 and not _any(term > 1e-17 * abs(acc)):
+        if (n + 1) % _SERIES_CHECK_EVERY == 0 and not _any(term > 1e-17 * abs(acc)):
             break
         power *= t2
     return acc

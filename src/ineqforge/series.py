@@ -33,6 +33,8 @@ from .errors import DomainError, PrecisionError
 N_MAX = 120
 
 SERIES_IDS = ("csc", "cot", "tan", "csc2")
+# series_eval stops at the first term below this fraction of the partial sum.
+_SERIES_TOL = 1e-14
 
 _RADIUS = {"csc": math.pi, "cot": math.pi, "tan": math.pi / 2, "csc2": math.pi}
 
@@ -99,17 +101,15 @@ def _coeff_table(law: str, first: int = 1) -> tuple[float, ...]:
     return tuple(num / den for num, den in terms)
 
 
-def series_eval(series_id: str, t: float, tol: float = 1e-14) -> tuple[float, int]:
+def series_eval(series_id: str, t: float) -> tuple[float, int]:
     """Partial sum of one Lemma-C series at t.
 
-    Truncates once the next term drops below tol * |partial sum| and returns
+    Truncates once a term drops below 1e-14 * |partial sum| and returns
     (value, terms_used). Raises DomainError outside the convergence radius
     and PrecisionError if N_MAX terms do not reach the tolerance.
     """
     if series_id not in SERIES_IDS:
         raise DomainError(f"unknown series id {series_id!r}; expected one of {SERIES_IDS}")
-    if tol <= 0.0:
-        raise DomainError("tol must be positive")
     radius = _RADIUS[series_id]
     if t == 0.0 or not abs(t) < radius:
         raise DomainError(f"series {series_id!r} needs 0 < |t| < {radius:.6f}, got t = {t!r}")
@@ -128,11 +128,11 @@ def series_eval(series_id: str, t: float, tol: float = 1e-14) -> tuple[float, in
     for n in range(1, N_MAX + 1):
         term = coeffs[n - 1] * power
         acc += sign * term
-        if abs(term) < tol * abs(acc):
+        if abs(term) < _SERIES_TOL * abs(acc):
             return acc, n
         power *= t2
     raise PrecisionError(
-        f"series {series_id!r} did not reach tol={tol:g} at t={t!r} within {N_MAX} terms"
+        f"series {series_id!r} did not reach tol={_SERIES_TOL:g} at t={t!r} within {N_MAX} terms"
     )
 
 
@@ -142,6 +142,8 @@ def series_eval(series_id: str, t: float, tol: float = 1e-14) -> tuple[float, in
 
 def _lemma_terms(lemma: str, n: int) -> tuple[Fraction, Fraction]:
     """The exact prefactor and threshold of an ml1 or ml2 ratio difference."""
+    if not isinstance(n, int) or n < 1:
+        raise DomainError(f"{lemma}: n must be a positive integer, got {n!r}")
     q = 4 ** (n + 1) - 1
     if lemma == "ml1":
         return Fraction(q, 2 * n + 2), Fraction((n + 1) * (4**n - 1), n * q)
@@ -150,8 +152,6 @@ def _lemma_terms(lemma: str, n: int) -> tuple[Fraction, Fraction]:
 
 def ml1_threshold(n: int) -> float:
     """(n+1)/n * (4^n - 1)/(4^(n+1) - 1); maximum 2/5 at n = 1, limit 1/4."""
-    if not isinstance(n, int) or n < 1:
-        raise DomainError("ml1_threshold: n must be a positive integer")
     return float(_lemma_terms("ml1", n)[1])
 
 
@@ -165,8 +165,6 @@ def ml1_ratio_diff(p: float, n: int) -> float:
     """
     if not 0.0 < p <= 1.0:
         raise DomainError("ml1_ratio_diff: p must lie in (0, 1]")
-    if not isinstance(n, int) or n < 1:
-        raise DomainError("ml1_ratio_diff: n must be a positive integer")
     prefactor, threshold = _lemma_terms("ml1", n)
     return float(prefactor) * p ** (2 * n) * (p * p - float(threshold))
 
@@ -179,8 +177,6 @@ def ml1_ratio_diff_exact(p_squared: Fraction, n: int) -> Fraction:
 
 def ml2_threshold(n: int) -> float:
     """(2n+3)/(2n+1) * (4^n - 1)/(4^(n+1) - 1); maximum 1/3 at n = 1 and 2."""
-    if not isinstance(n, int) or n < 1:
-        raise DomainError("ml2_threshold: n must be a positive integer")
     return float(_lemma_terms("ml2", n)[1])
 
 
@@ -191,8 +187,6 @@ def ml2_ratio_diff(p: float, n: int) -> float:
     """
     if not 0.0 < p <= 1.0:
         raise DomainError("ml2_ratio_diff: p must lie in (0, 1]")
-    if not isinstance(n, int) or n < 1:
-        raise DomainError("ml2_ratio_diff: n must be a positive integer")
     prefactor, threshold = _lemma_terms("ml2", n)
     return float(prefactor) * p ** (2 * n) * (p * p - float(threshold))
 

@@ -8,9 +8,10 @@ nonnegative up to a relative tie threshold and at least one margin is
 clearly positive; ties never count as evidence, so a chain of identical
 members cannot pass.
 
-A grid is one numpy array of coordinates, evaluated and scanned in views of
-4096 points: one member call and a few array operations per block, and no
-grid-sized array per member or intermediate. Blocks are kept for speed and
+Grids are evaluated and scanned in blocks of 4096 points: one member call
+and a few array operations per block, and no grid-sized array per member or
+intermediate. Kernel chains and probes make their points one block at a
+time, so they hold no grid array at all. Blocks are kept for speed and
 memory: scanning whole 20001-point grids instead read the benchmark's
 query_p50_ms 13-27% slower on all three workloads and means_dense's
 peak_rss_mb 10.3% higher. Golden-section refinement and every reported value
@@ -404,18 +405,28 @@ def _chain_verdict(links: Iterable[LinkReport]) -> str:
 
 
 def _check_links(
-    where: str, names: Sequence[str], fns: Sequence[Callable], ts, *params
+    where: str, names: Sequence[str], fns: Sequence[Callable], lo: float, hi: float, n: int
 ) -> list[LinkReport]:
-    """Every adjacent pair of members fn(*params, t) scanned over the grid ts
-    and refined: a kernel chain, or a probe as a two-member chain."""
-    scans = [_LinkScan(where, lhs, rhs, "t", ts.item) for lhs, rhs in zip(names, names[1:])]
-    for start in range(0, len(ts), _BLOCK):
-        block = ts[start:start + _BLOCK]
-        values = [_on_block(where, name, fn, *params, block) for name, fn in zip(names, fns)]
+    """Every adjacent pair of members fn(t) scanned over n points spanning
+    [lo, hi] and refined: a kernel chain, or a probe as a two-member chain.
+    Point i is i * step + lo and the last is hi, np.linspace's arithmetic,
+    made one block at a time."""
+    np = _np()
+    step = (hi - lo) / (n - 1)
+
+    def x_at(i: int) -> float:
+        return hi if i == n - 1 else i * step + lo
+
+    scans = [_LinkScan(where, lhs, rhs, "t", x_at) for lhs, rhs in zip(names, names[1:])]
+    for start in range(0, n, _BLOCK):
+        block = np.arange(start, min(start + _BLOCK, n), dtype=float) * step + lo
+        if start + _BLOCK >= n:
+            block[-1] = hi
+        values = [_on_block(where, name, fn, block) for name, fn in zip(names, fns)]
         for scan, lhs_vals, rhs_vals in zip(scans, values, values[1:]):
             scan.add(lhs_vals, rhs_vals)
     return [
-        scan.report(lambda t, lf=lf, rf=rf: (lf(*params, t), rf(*params, t)))
+        scan.report(lambda t, lf=lf, rf=rf: (lf(t), rf(t)))
         for scan, lf, rf in zip(scans, fns, fns[1:])
     ]
 
@@ -480,25 +491,24 @@ def _verify_mean_chain(
     return links, twin_max, twin_ok
 
 
-def verify_chain(
-    chain: Chain | str,
-    config: VerificationConfig | None = None,
-    catalog: Catalog | None = None,
-) -> ChainReport:
+def verify_chain(chain: Chain | str, config: VerificationConfig | None = None) -> ChainReport:
     """Check every adjacent ordering in a chain on a dense grid.
 
-    Accepts a Chain or a chain id resolved against the packaged catalog.
-    Mean-form chains are additionally cross-checked against their kernel
-    twins: the margins must agree to relative 1e-10 after scaling.
+    Accepts a Chain, such as one of another catalog, or a chain id resolved
+    against the packaged catalog. Mean-form chains are additionally
+    cross-checked against their kernel twins: the margins must agree to
+    relative 1e-10 after scaling.
     """
     cfg = config or VerificationConfig()
     if isinstance(chain, str):
-        chain = (catalog or load_catalog()).get_chain(chain)
+        chain = load_catalog().get_chain(chain)
     start = time.perf_counter()
     twin_max = twin_rel = twin_ok = note = None
     if chain.kind == "kernel":
-        ts = _np().linspace(*_inset(*chain.domain, cfg.endpoint_eps), cfg.samples)
-        links = _check_links(f"chain {chain.id}", chain.members, chain.member_fns, ts)
+        lo, hi = _inset(*chain.domain, cfg.endpoint_eps)
+        links = _check_links(
+            f"chain {chain.id}", chain.members, chain.member_fns, lo, hi, cfg.samples
+        )
     else:
         links, twin_max, twin_ok = _verify_mean_chain(chain, cfg)
         twin_rel = _TWIN_REL
@@ -530,13 +540,10 @@ def _probe_interval(probe: Probe, config: VerificationConfig) -> tuple[float, fl
     return max(glo, hi - span / 10.0), ghi
 
 
-def probe_sharpness(
-    probe: Probe | str,
-    config: VerificationConfig | None = None,
-    catalog: Catalog | None = None,
-) -> ProbeReport:
+def probe_sharpness(probe: Probe | str, config: VerificationConfig | None = None) -> ProbeReport:
     """Nudge a probe's constant by epsilon and hunt for a violation.
 
+    Accepts a Probe or a probe id resolved against the packaged catalog.
     Only the probe's declared region is scanned: the perturbed inequality
     is expected to break where the original was sharp, and a global scan
     would report whichever violation happens to be deepest instead of the
@@ -544,7 +551,7 @@ def probe_sharpness(
     """
     cfg = config or VerificationConfig()
     if isinstance(probe, str):
-        probe = (catalog or load_catalog()).get_probe(probe)
+        probe = load_catalog().get_probe(probe)
     start = time.perf_counter()
     offset = cfg.epsilon if probe.direction == "+" else -cfg.epsilon
     parameter = probe.base_value + offset
@@ -552,9 +559,10 @@ def probe_sharpness(
     (link,) = _check_links(
         f"probe {probe.id}",
         (probe.lhs, probe.rhs),
-        (probe.lhs_fn, probe.rhs_fn),
-        _np().linspace(rlo, rhi, cfg.samples),
-        parameter,
+        (functools.partial(probe.lhs_fn, parameter), functools.partial(probe.rhs_fn, parameter)),
+        rlo,
+        rhi,
+        cfg.samples,
     )
     broke = link.verdict == "falsified" and link.witness is not None
     elapsed = time.perf_counter() - start
@@ -610,12 +618,8 @@ def verify_endpoint_limits(kernel_id: str) -> dict:
     return {"kernel": kernel_id, "sides": sides, "verdict": "ok" if ok else "failed"}
 
 
-def verify_monotone(
-    kernel_id: str,
-    direction: str | None = None,
-    config: VerificationConfig | None = None,
-) -> dict:
-    """Grid check that a registered kernel moves in one direction.
+def verify_monotone(kernel_id: str, config: VerificationConfig | None = None) -> dict:
+    """Grid check that a registered kernel moves in its declared direction.
 
     Consecutive differences must never point the wrong way beyond the tie
     threshold, the net change must agree, and seeded central differences at
@@ -623,11 +627,9 @@ def verify_monotone(
     step is reported as the witness: the deepest one, which sits at worst_at.
     """
     k = kernels.get_kernel(kernel_id)
-    direction = direction or k.monotone
+    direction = k.monotone
     if direction not in ("increasing", "decreasing"):
-        raise DomainError(
-            f"kernel {kernel_id!r} declares no monotone direction; pass one explicitly"
-        )
+        raise DomainError(f"kernel {kernel_id!r} declares no monotone direction")
     cfg = config or VerificationConfig()
     np = _np()
     glo, ghi = _inset(k.lo, k.hi, cfg.endpoint_eps)

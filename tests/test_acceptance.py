@@ -67,7 +67,7 @@ def test_criterion_2_chain_verification():
     failures = []
     count = 0
     for cid in cat.chain_ids():
-        report = V.verify_chain(cid, cfg, cat)
+        report = V.verify_chain(cat.get_chain(cid), cfg)
         count += 1
         if report.verdict != "verified_numeric":
             failures.append(f"{cid}: {report.verdict}")
@@ -85,7 +85,7 @@ def test_criterion_3_sharpness_probes():
     failures = []
     count = 0
     for pid in cat.probe_ids():
-        report = V.probe_sharpness(pid, cfg, cat)
+        report = V.probe_sharpness(cat.get_probe(pid), cfg)
         count += 1
         if report.verdict != "falsified":
             failures.append(f"{pid}: {report.verdict}")
@@ -236,7 +236,7 @@ def test_criterion_7_substitution_identities():
         chain = cat.get_chain(cid)
         if chain.kind != "mean":
             continue
-        report = V.verify_chain(cid, cfg, cat)
+        report = V.verify_chain(cat.get_chain(cid), cfg)
         if report.twin_ok is not True:
             failures.append(f"{cid}: twin margins disagree")
         worst_twin = max(worst_twin, report.twin_max_deviation)

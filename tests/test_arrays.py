@@ -229,6 +229,25 @@ def test_golden_refine_calls_value_fn_depth_plus_two_times():
     assert x in calls and (a, b) == value_fn(x)
 
 
+@pytest.mark.parametrize("k", [0, 5, V._BLOCK - 1, V._BLOCK, 2 * V._BLOCK + 6])
+def test_check_links_points_are_linspace_bit_for_bit(k):
+    # the blocks and the coordinates of reported points are np.linspace's;
+    # here (n - 1) * step + lo rounds to 1.6999999999999997, not to hi
+    lo, hi, n = 0.4, 1.7, 2 * V._BLOCK + 7
+    grid = np.linspace(lo, hi, n)
+    c = grid[k].item()
+    blocks = []
+
+    def zero(t):
+        if isinstance(t, np.ndarray):
+            blocks.append(t.copy())
+        return 0.0 * t
+
+    (link,) = V._check_links("grid", ("0", "|t - c|"), (zero, lambda t: abs(t - c)), lo, hi, n)
+    assert np.array_equal(np.concatenate(blocks), grid)
+    assert link.min_margin == 0.0 and link.argmin == c
+
+
 def test_floats_in_floats_out():
     for kid, kernel in K.KERNELS.items():
         assert type(kernel.fn(0.5)) is float, kid
@@ -261,6 +280,31 @@ def test_non_finite_member_value_names_the_link():
          "members": ["cos(t)", "log(cos(t))"]}
     )
     with pytest.raises(DomainError, match="chain bad: cannot assess cos"):
+        V.verify_chain(chain, SMALL)
+
+
+def test_non_real_constant_member_names_the_link():
+    # (-1)**0.5 is a complex constant: every point of its block becomes nan
+    chain = C._build_chain(
+        {"id": "imag", "kind": "kernel", "domain": ["0.5", "2.0"],
+         "members": ["(-1)**0.5", "t"]}
+    )
+    with pytest.raises(DomainError, match="chain imag: cannot assess .*not a finite real"):
+        V.verify_chain(chain, SMALL)
+
+
+def test_member_failing_on_floats_only_names_the_link():
+    # the grid scan passes; the float refinement of the minimum raises
+    def arrays_only(t):
+        if isinstance(t, float):
+            raise ValueError("floats refused")
+        return t
+
+    chain = C._build_chain(
+        {"id": "float", "kind": "kernel", "domain": ["0.5", "2.0"], "members": ["t", "t + 1"]}
+    )
+    chain = dataclasses.replace(chain, member_fns=(arrays_only,) + chain.member_fns[1:])
+    with pytest.raises(DomainError, match=r"^chain float: cannot assess t < t \+ 1: floats refused"):
         V.verify_chain(chain, SMALL)
 
 
@@ -343,13 +387,15 @@ def _assert_plain(payload):
     assert "np." not in json.dumps(payload)
 
 
-def test_reports_hold_builtin_types_only():
+def test_reports_hold_builtin_types_only(monkeypatch):
     _assert_plain(V.run_suite(SMALL).to_dict())
     _assert_plain(V.verify_monotone("sinc", config=SMALL))
-    _assert_plain(V.verify_monotone("sinc", direction="increasing", config=SMALL))
+    wrong = dataclasses.replace(K.KERNELS["sinc"], monotone="increasing")
+    monkeypatch.setitem(K.KERNELS, "sinc", wrong)
+    _assert_plain(V.verify_monotone("sinc", config=SMALL))
     _assert_plain(V.probe_sharpness("M1-lower", SMALL).to_dict())
     flipped = C.flipped_catalog(C.load_catalog(), "M5-i", 0)
-    _assert_plain(V.verify_chain("M5-i", SMALL, flipped).to_dict())
+    _assert_plain(V.verify_chain(flipped.get_chain("M5-i"), SMALL).to_dict())
 
 
 def test_table_csv_has_no_numpy_text(capsys):

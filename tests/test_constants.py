@@ -102,15 +102,13 @@ def test_solve_root_rejects_bad_bracket():
 
 
 def test_solve_root_reports_non_convergence():
-    # a tolerance below ulp resolution stalls once the bracket endpoints are
-    # adjacent doubles; the iteration cap must turn that into an error
-    with pytest.raises(ConvergenceError):
-        C.solve_root(lambda x: x * x - 2.0, (1.0, 2.0), tol=1e-30)
+    # halving a 2e300-wide bracket down to 1e-15 around the root 1 takes
+    # about 1050 bisections; the cap of 200 must turn that into an error
+    with pytest.raises(ConvergenceError, match="200 bisections"):
+        C.solve_root(lambda x: x - 1.0, (-1e300, 1e300))
 
 
 def test_solve_root_validates_inputs():
-    with pytest.raises(DomainError):
-        C.solve_root(lambda x: x, (1.0, 2.0), tol=0.0)
     with pytest.raises(DomainError):
         C.solve_root(lambda x: x, (2.0, 1.0))
     with pytest.raises(DomainError):

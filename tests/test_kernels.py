@@ -272,3 +272,8 @@ def test_domain_errors():
         K.t_coth_minus1(-1.0)
     with pytest.raises(DomainError):
         K.cosh_power(0.0, 1.0)
+
+
+def test_domain_error_names_the_first_bad_point_of_an_array():
+    with pytest.raises(DomainError, match=r"got 4\.0$"):
+        K.sinc(np.array([0.5, 4.0, 5.0]))

@@ -10,6 +10,7 @@ import math
 import pytest
 
 from ineqforge import catalog as C
+from ineqforge import kernels as K
 from ineqforge import means as M
 from ineqforge import verifier as V
 from ineqforge.errors import DomainError
@@ -59,7 +60,7 @@ def test_config_validation(kwargs):
 
 @pytest.mark.parametrize("cid", ["M1", "M23c", "L-I-A-G", "M4b", "M6a"])
 def test_kernel_chains_verify(cat, cid):
-    report = V.verify_chain(cid, SMALL, cat)
+    report = V.verify_chain(cat.get_chain(cid), SMALL)
     assert report.verdict == "verified_numeric", report.to_dict()
     assert report.kind == "kernel"
     assert all(link.verdict == "verified_numeric" for link in report.links)
@@ -105,7 +106,7 @@ def test_tie_band_chain_is_inconclusive():
 def test_flipped_link_is_falsified_and_named(cat):
     original = cat.get_chain("M1")
     flipped = C.flipped_catalog(cat, "M1", 1)
-    report = V.verify_chain("M1", SMALL, flipped)
+    report = V.verify_chain(flipped.get_chain("M1"), SMALL)
     assert report.verdict == "falsified"
     bad = [link for link in report.links if link.verdict == "falsified"]
     assert bad, "expected at least one falsified link"
@@ -119,7 +120,7 @@ def test_flipped_link_is_falsified_and_named(cat):
 
 @pytest.mark.parametrize("cid", ["M1c-i1", "M2a-i2", "M23c-i1", "M6a-i"])
 def test_mean_chains_verify_with_consistent_twins(cat, cid):
-    report = V.verify_chain(cid, SMALL, cat)
+    report = V.verify_chain(cat.get_chain(cid), SMALL)
     assert report.verdict == "verified_numeric", report.to_dict()
     assert report.kind == "mean"
     assert report.twin_ok is True
@@ -131,7 +132,7 @@ def test_mean_chains_verify_with_consistent_twins(cat, cid):
 
 def test_mean_chain_witness_carries_the_pair(cat):
     flipped = C.flipped_catalog(cat, "M5-i", 0)
-    report = V.verify_chain("M5-i", SMALL, flipped)
+    report = V.verify_chain(flipped.get_chain("M5-i"), SMALL)
     assert report.verdict == "falsified"
     bad = [link for link in report.links if link.verdict == "falsified"][0]
     assert "pair" in bad.witness
@@ -167,7 +168,7 @@ def test_member_reading_an_unlisted_mean_fails_loudly(cat):
 
 def test_all_packaged_probes_falsify(cat):
     for pid in cat.probe_ids():
-        report = V.probe_sharpness(pid, SMALL, cat)
+        report = V.probe_sharpness(cat.get_probe(pid), SMALL)
         assert report.verdict == "falsified", report.to_dict()
         assert report.witness is not None
         lo, hi = report.interval
@@ -176,11 +177,11 @@ def test_all_packaged_probes_falsify(cat):
 
 
 def test_probe_interval_regions(cat):
-    near_zero = V.probe_sharpness("M1-lower", SMALL, cat)
+    near_zero = V.probe_sharpness(cat.get_probe("M1-lower"), SMALL)
     lo, hi = near_zero.interval
     assert lo < 1e-6
     assert hi == pytest.approx(math.pi / 16.0, rel=1e-6)
-    near_right = V.probe_sharpness("M6a-p", SMALL, cat)
+    near_right = V.probe_sharpness(cat.get_probe("M6a-p"), SMALL)
     lo, hi = near_right.interval
     assert lo == pytest.approx(math.pi / 2.0 - math.pi / 20.0, rel=1e-6)
     assert hi < math.pi / 2.0
@@ -190,7 +191,7 @@ def test_probe_off_nominal_parameter_does_not_falsify(cat):
     # nudging away from the sharp constant in the safe direction keeps the
     # inequality true, so the probe must report not_falsified
     probe = cat.get_probe("M1-lower")
-    report = V.probe_sharpness(probe, SMALL, cat)
+    report = V.probe_sharpness(probe, SMALL)
     assert report.parameter != probe.base_value
     assert report.verdict == "falsified"
 
@@ -198,8 +199,7 @@ def test_probe_off_nominal_parameter_does_not_falsify(cat):
 # --- endpoint limits and monotonicity ----------------------------------------------------
 
 def test_endpoint_limits_all_registered_kernels():
-    from ineqforge.kernels import KERNELS
-    for kid, kernel in KERNELS.items():
+    for kid, kernel in K.KERNELS.items():
         if kernel.limit_lo is None and kernel.limit_hi is None:
             continue
         report = V.verify_endpoint_limits(kid)
@@ -226,17 +226,36 @@ def test_monotone_declared_direction():
     assert report["spot_checks_ok"] is True
 
 
-def test_monotone_wrong_direction_is_falsified():
-    report = V.verify_monotone("sinc", direction="increasing", config=SMALL)
+def _declare(monkeypatch, kernel: K.Kernel) -> None:
+    monkeypatch.setitem(K.KERNELS, kernel.id, kernel)
+
+
+def test_monotone_wrong_direction_is_falsified(monkeypatch):
+    _declare(monkeypatch, dataclasses.replace(K.KERNELS["sinc"], monotone="increasing"))
+    report = V.verify_monotone("sinc", config=SMALL)
+    assert report["direction"] == "increasing"
     assert report["verdict"] == "falsified"
     assert report["witness"] is not None or report["net_change"] < 0.0
     # the witness is the deepest wrong-way step, which is where worst_step sits
     assert report["witness"]["t"] == report["worst_at"]
 
 
-def test_monotone_requires_a_direction():
-    with pytest.raises(DomainError):
-        V.verify_monotone("sinc", direction="sideways", config=SMALL)
+def test_monotone_requires_a_direction(monkeypatch):
+    _declare(monkeypatch, dataclasses.replace(K.KERNELS["sinc"], monotone=None))
+    with pytest.raises(DomainError, match="declares no monotone direction"):
+        V.verify_monotone("sinc", config=SMALL)
+
+
+def test_monotone_constant_kernel_is_inconclusive(monkeypatch):
+    # every step is an exact tie: no wrong-way step, and no evidence either
+    _declare(
+        monkeypatch,
+        K.Kernel("flat", 0.0, 1.0, lambda t: 0.0 * t + 1.0, 1.0, 1.0, monotone="increasing"),
+    )
+    report = V.verify_monotone("flat", config=SMALL)
+    assert report["verdict"] == "inconclusive"
+    assert report["net_change"] == 0.0
+    assert "witness" not in report and report["spot_checks_ok"] is True
 
 
 # --- parametric family and suite -----------------------------------------------------------
@@ -275,8 +294,8 @@ def test_run_suite_names_a_flipped_chain(cat):
 
 
 def test_repeated_verification_is_deterministic(cat):
-    first = V.verify_chain("M1", SMALL, cat).to_dict()
-    second = V.verify_chain("M1", SMALL, cat).to_dict()
+    first = V.verify_chain(cat.get_chain("M1"), SMALL).to_dict()
+    second = V.verify_chain(cat.get_chain("M1"), SMALL).to_dict()
     first.pop("elapsed_s")
     second.pop("elapsed_s")
     assert first == second
@@ -284,28 +303,28 @@ def test_repeated_verification_is_deterministic(cat):
 
 # --- report schemas ---------------------------------------------------------------------
 
-def test_report_key_sets_are_stable(cat):
+def test_report_key_sets_are_stable(cat, monkeypatch):
     config_keys = {
         "samples", "endpoint_eps", "ratio_max", "ratio_samples", "epsilon",
     }
-    kernel = V.verify_chain("M1", SMALL, cat).to_dict()
+    kernel = V.verify_chain(cat.get_chain("M1"), SMALL).to_dict()
     assert set(kernel) == {"chain", "kind", "verdict", "config", "elapsed_s", "links"}
     assert kernel["config"] == dataclasses.asdict(SMALL)
     assert set(kernel["config"]) == config_keys
     assert set(kernel["links"][0]) == {"lhs", "rhs", "verdict", "min_margin", "argmin"}
 
-    mean = V.verify_chain("M1c-i1", SMALL, cat).to_dict()
+    mean = V.verify_chain(cat.get_chain("M1c-i1"), SMALL).to_dict()
     assert set(mean) == {
         "chain", "kind", "verdict", "config", "elapsed_s", "links",
         "twin_max_deviation", "twin_tolerance_rel", "twin_ok",
     }
 
-    flipped = V.verify_chain("M1", SMALL, C.flipped_catalog(cat, "M1", 0)).to_dict()
+    flipped = V.verify_chain(C.flipped_catalog(cat, "M1", 0).get_chain("M1"), SMALL).to_dict()
     bad = next(link for link in flipped["links"] if link["verdict"] == "falsified")
     assert set(bad) == {"lhs", "rhs", "verdict", "min_margin", "argmin", "witness"}
     assert set(bad["witness"]) == {"t", "lhs", "rhs", "margin"}
 
-    probe = V.probe_sharpness("M1-lower", SMALL, cat).to_dict()
+    probe = V.probe_sharpness(cat.get_probe("M1-lower"), SMALL).to_dict()
     assert set(probe) == {
         "probe", "chain", "parameter", "base_value", "config", "direction", "region",
         "interval", "min_margin", "verdict", "elapsed_s", "witness",
@@ -324,7 +343,8 @@ def test_report_key_sets_are_stable(cat):
         "spot_checks_ok",
     }
     assert set(V.verify_monotone("sinc", config=SMALL)) == monotone_keys
-    wrong = V.verify_monotone("sinc", direction="increasing", config=SMALL)
+    _declare(monkeypatch, dataclasses.replace(K.KERNELS["sinc"], monotone="increasing"))
+    wrong = V.verify_monotone("sinc", config=SMALL)
     assert set(wrong) == monotone_keys | {"witness", "spot_witness"}
     assert set(wrong["witness"]) == {"t", "t_next", "value", "value_next"}
     assert set(wrong["spot_witness"]) == {"t", "value_left", "value_right"}

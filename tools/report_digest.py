@@ -1,0 +1,102 @@
+"""Print one sha256 per family of verifier reports, to compare two source trees.
+
+Usage: python3 tools/report_digest.py SRC_DIR
+
+SRC_DIR is the directory that holds the ``ineqforge`` package (``src`` in a
+checkout). Each family's reports are turned into JSON with every
+``elapsed_s`` dropped and hashed, so two trees whose verdicts, witnesses,
+margins and configs agree bit for bit print the same lines. The families:
+
+- suite: ``run_suite()`` at the defaults;
+- chains_probes: the packaged chains and probes at the defaults;
+- kernels: the monotone check and the endpoint limits of every kernel;
+- m6: ``theorem_m6_iff_suite`` over the fixed exponents and seeded ones;
+- means: the mean chains at 20001 ratio samples for five ratio_max values;
+- flipped: every chain with each link flipped, at 2001 samples.
+
+Only public calls that take a Chain or Probe object are used, so the tool
+runs against any tree with the current verifier API.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+import sys
+
+FIXED_EXPONENTS = (1.2, 2.0, 3.7, 1.0, 0.5, 0.013, -0.2, -1.0, -3.9)
+SEEDED_PER_REGIME = 20
+SEED = 1212
+MEAN_RATIO_MAX = (3.0, 47.5, 1e4, 1e8, 1e12)
+
+
+def _seeded_exponents() -> list[float]:
+    rng = random.Random(SEED)
+    draws = []
+    for _ in range(SEEDED_PER_REGIME):
+        draws.append(1.2 + 4.8 * rng.random())  # [1.2, 6)
+        draws.append(1.0 - rng.random())  # (0, 1]
+        draws.append(-6.0 + 6.0 * rng.random())  # [-6, 0)
+    return draws
+
+
+def _drop_elapsed(value):
+    if isinstance(value, dict):
+        return {k: _drop_elapsed(v) for k, v in value.items() if k != "elapsed_s"}
+    if isinstance(value, list):
+        return [_drop_elapsed(v) for v in value]
+    return value
+
+
+def _families(catalog, kernels, verifier):
+    cfg = verifier.VerificationConfig
+    cat = catalog.load_catalog()
+    chains = [cat.get_chain(cid) for cid in cat.chain_ids()]
+    probes = [cat.get_probe(pid) for pid in cat.probe_ids()]
+
+    yield "suite", [verifier.run_suite().to_dict()]
+    yield "chains_probes", (
+        [verifier.verify_chain(c).to_dict() for c in chains]
+        + [verifier.probe_sharpness(p).to_dict() for p in probes]
+    )
+    yield "kernels", [
+        [verifier.verify_monotone(kid, config=cfg()), verifier.verify_endpoint_limits(kid)]
+        for kid in kernels.KERNELS
+    ]
+    exponents = list(FIXED_EXPONENTS) + _seeded_exponents()
+    yield "m6", [verifier.theorem_m6_iff_suite([p]) for p in exponents]
+    dense = [cfg(ratio_samples=20001, ratio_max=r) for r in MEAN_RATIO_MAX]
+    yield "means", [
+        verifier.verify_chain(c, config).to_dict()
+        for c in chains
+        if c.kind == "mean"
+        for config in dense
+    ]
+    small = cfg(samples=2001, ratio_samples=2001)
+    yield "flipped", [
+        verifier.verify_chain(
+            catalog.flipped_catalog(cat, c.id, i).get_chain(c.id), small
+        ).to_dict()
+        for c in chains
+        for i in range(len(c.members) - 1)
+    ]
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: python3 tools/report_digest.py SRC_DIR", file=sys.stderr)
+        return 2
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, argv[0])
+    from ineqforge import catalog, kernels, verifier
+
+    for name, reports in _families(catalog, kernels, verifier):
+        text = json.dumps(_drop_elapsed(reports))
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        print(f"{name:<14} {len(reports):>4} {digest}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
