@@ -278,12 +278,6 @@ class Catalog:
     def probes(self) -> Mapping[str, Probe]:
         return MappingProxyType(self._probes)
 
-    def chain_ids(self) -> list[str]:
-        return list(self._chains)
-
-    def probe_ids(self) -> list[str]:
-        return list(self._probes)
-
     def get_chain(self, chain_id: str) -> Chain:
         try:
             return self._chains[chain_id]

@@ -106,8 +106,7 @@ def _cmd_list(args: argparse.Namespace) -> tuple[int, None]:
     every = not (args.chains or args.probes or args.kernels)
     if args.chains or every:
         print("chains:")
-        for cid in cat.chain_ids():
-            chain = cat.get_chain(cid)
+        for cid, chain in cat.chains.items():
             if chain.kind == "kernel":
                 lo, hi = chain.domain
                 where = f"t in ({lo:.6g}, {hi:.6g})"
@@ -116,8 +115,7 @@ def _cmd_list(args: argparse.Namespace) -> tuple[int, None]:
             print(f"  {cid:12s} {chain.kind:6s} {len(chain.members)} members, {where}")
     if args.probes or every:
         print("probes:")
-        for pid in cat.probe_ids():
-            probe = cat.get_probe(pid)
+        for pid, probe in cat.probes.items():
             print(
                 f"  {pid:12s} chain {probe.chain:8s} base {probe.base} "
                 f"direction {probe.direction} region {probe.region}"

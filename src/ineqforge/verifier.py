@@ -272,7 +272,7 @@ class _LinkScan:
         self.min_idx = self.viol_idx = -1
         self.min_margin = self.viol_margin = 0.0
         self.min_sides = self.viol_sides = (0.0, 0.0)
-        self.min_violates = self.has_positive = False
+        self.has_positive = False
         self.all_zero = True
         self.near = None
 
@@ -300,7 +300,6 @@ class _LinkScan:
         if moved:
             self.min_idx, self.min_margin = start + j, low
             self.min_sides = (a[j].item(), b[j].item())
-            self.min_violates = bool(low < -theta[j])
         self.has_positive = self.has_positive or bool((m > theta).any())
         self.all_zero = self.all_zero and not m.any()
         if low < -_TIE_REL:
@@ -332,7 +331,7 @@ class _LinkScan:
         min_idx, viol_idx = self.min_idx, self.viol_idx
         try:
             ra, rb = self.min_sides
-            if value_fn is not None and self.min_violates:
+            if value_fn is not None and _violates(ra, rb):
                 # numpy and math can differ in the last bits, enough to move
                 # the first minimum inside a flat valley and the refinement
                 # bracket with it. The points near a violating minimum are
@@ -350,7 +349,7 @@ class _LinkScan:
             min_margin = rb - ra
 
             # Narrow dips can fall between grid nodes; refine around the grid minimum.
-            if value_fn is not None and self.n > 1:
+            if value_fn is not None:
                 bracket_lo = x_at(max(0, min_idx - 1))
                 bracket_hi = x_at(min(self.n - 1, min_idx + 1))
                 if bracket_hi > bracket_lo:
@@ -368,30 +367,20 @@ class _LinkScan:
                 candidates.append((rx, ra, rb))
         except _EVAL_ERRORS as exc:
             raise self._error(exc) from exc
-        lhs_expr, rhs_expr = self.lhs_expr, self.rhs_expr
+        witness = note = None
         if candidates:
+            verdict = "falsified"
             wx, wa, wb = min(candidates, key=lambda c: c[2] - c[1])
             witness = {self.coord: wx, "lhs": wa, "rhs": wb, "margin": wb - wa}
-            return LinkReport(lhs_expr, rhs_expr, "falsified", min_margin, rx, witness)
-        if self.all_zero:
-            return LinkReport(
-                lhs_expr,
-                rhs_expr,
-                "falsified",
-                0.0,
-                x_at(0),
-                note="degenerate: both sides are numerically identical across the grid",
-            )
-        if not self.has_positive:
-            return LinkReport(
-                lhs_expr,
-                rhs_expr,
-                "inconclusive",
-                min_margin,
-                rx,
-                note="every margin sits inside the tie threshold",
-            )
-        return LinkReport(lhs_expr, rhs_expr, "verified_numeric", min_margin, rx)
+        elif self.all_zero:
+            verdict, min_margin, rx = "falsified", 0.0, x_at(0)
+            note = "degenerate: both sides are numerically identical across the grid"
+        elif not self.has_positive:
+            verdict = "inconclusive"
+            note = "every margin sits inside the tie threshold"
+        else:
+            verdict = "verified_numeric"
+        return LinkReport(self.lhs_expr, self.rhs_expr, verdict, min_margin, rx, witness, note)
 
 
 def _chain_verdict(links: Iterable[LinkReport]) -> str:
@@ -640,25 +629,23 @@ def verify_monotone(kernel_id: str, config: VerificationConfig | None = None) ->
     )
     sign = 1.0 if direction == "increasing" else -1.0
 
-    # Step i is a link from values[i] to values[i + 1]: for an increasing
-    # kernel the later value is the larger side, for a decreasing one the
-    # earlier. Coordinates are step indices, so no refinement is possible.
-    sides = [("f(t_i)", values[:-1]), ("f(t_i+1)", values[1:])]
+    # Step i, at ts[i], is a link from values[i] to values[i + 1]: for an
+    # increasing kernel the later value is the larger side, for a decreasing
+    # one the earlier. Steps are not refined.
+    names, sides = ("f(t_i)", "f(t_i+1)"), (values[:-1], values[1:])
     if direction == "decreasing":
-        sides.reverse()
-    (lhs_name, lhs_vals), (rhs_name, rhs_vals) = sides
-    scan = _LinkScan(where, lhs_name, rhs_name, "step", int)
-    for start in range(0, len(lhs_vals), _BLOCK):
-        scan.add(lhs_vals[start:start + _BLOCK], rhs_vals[start:start + _BLOCK])
+        names, sides = names[::-1], sides[::-1]
+    scan = _LinkScan(where, *names, "t", ts.item)
+    for start in range(0, len(ts) - 1, _BLOCK):
+        scan.add(*(side[start:start + _BLOCK] for side in sides))
     link = scan.report(None)
-    j = link.argmin
+    j = scan.min_idx
     # Recomputed rather than taken from min_margin: a flat step of a
     # decreasing kernel is -0.0 here, and the report keeps that sign.
     worst_step = sign * (values[j + 1] - values[j]).item()
-    worst_at = ts.item(j)
     witness = None
     if link.witness is not None:
-        i = link.witness["step"]
+        i = scan.viol_idx
         witness = {
             "t": ts.item(i),
             "t_next": ts.item(i + 1),
@@ -691,7 +678,7 @@ def verify_monotone(kernel_id: str, config: VerificationConfig | None = None) ->
         "direction": direction,
         "verdict": verdict,
         "worst_step": worst_step,
-        "worst_at": worst_at,
+        "worst_at": link.argmin,
         "net_change": net_change,
         "spot_checks_ok": spots_ok,
     }
@@ -779,14 +766,14 @@ def run_suite(
     start = time.perf_counter()
     rows: list[SuiteRow] = []
 
-    for cid in cat.chain_ids():
-        report = verify_chain(cat.get_chain(cid), cfg)
+    for cid, chain in cat.chains.items():
+        report = verify_chain(chain, cfg)
         rows.append(
             SuiteRow(f"chain:{cid}", report.verdict == "verified_numeric", _chain_detail(report))
         )
 
-    for pid in cat.probe_ids():
-        report = probe_sharpness(cat.get_probe(pid), cfg)
+    for pid, probe in cat.probes.items():
+        report = probe_sharpness(probe, cfg)
         if report.witness is not None:
             detail = (
                 f"violation at t={report.witness['t']:.6g}, "

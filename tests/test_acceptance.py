@@ -66,7 +66,7 @@ def test_criterion_2_chain_verification():
     start = time.perf_counter()
     failures = []
     count = 0
-    for cid in cat.chain_ids():
+    for cid in cat.chains:
         report = V.verify_chain(cat.get_chain(cid), cfg)
         count += 1
         if report.verdict != "verified_numeric":
@@ -84,7 +84,7 @@ def test_criterion_3_sharpness_probes():
     cfg = V.VerificationConfig(epsilon=1e-3)
     failures = []
     count = 0
-    for pid in cat.probe_ids():
+    for pid in cat.probes:
         report = V.probe_sharpness(cat.get_probe(pid), cfg)
         count += 1
         if report.verdict != "falsified":
@@ -232,7 +232,7 @@ def test_criterion_7_substitution_identities():
     cat = C.load_catalog()
     cfg = V.VerificationConfig()
     worst_twin = 0.0
-    for cid in cat.chain_ids():
+    for cid in cat.chains:
         chain = cat.get_chain(cid)
         if chain.kind != "mean":
             continue
@@ -287,7 +287,7 @@ def test_criterion_9_mutation_sensitivity():
     failures = []
     picks = []
     for _ in range(3):
-        cid = rng.choice(cat.chain_ids())
+        cid = rng.choice(list(cat.chains))
         chain = cat.get_chain(cid)
         index = rng.randrange(len(chain.members) - 1)
         picks.append(f"{cid}[{index}]")

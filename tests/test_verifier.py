@@ -7,6 +7,7 @@ acceptance tests.
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from ineqforge import catalog as C
@@ -167,7 +168,7 @@ def test_member_reading_an_unlisted_mean_fails_loudly(cat):
 # --- probes ----------------------------------------------------------------------------
 
 def test_all_packaged_probes_falsify(cat):
-    for pid in cat.probe_ids():
+    for pid in cat.probes:
         report = V.probe_sharpness(cat.get_probe(pid), SMALL)
         assert report.verdict == "falsified", report.to_dict()
         assert report.witness is not None
@@ -230,14 +231,35 @@ def _declare(monkeypatch, kernel: K.Kernel) -> None:
     monkeypatch.setitem(K.KERNELS, kernel.id, kernel)
 
 
-def test_monotone_wrong_direction_is_falsified(monkeypatch):
-    _declare(monkeypatch, dataclasses.replace(K.KERNELS["sinc"], monotone="increasing"))
-    report = V.verify_monotone("sinc", config=SMALL)
-    assert report["direction"] == "increasing"
+@pytest.mark.parametrize("kernel_id, wrong", [("sinc", "increasing"), ("sinhc", "decreasing")])
+def test_monotone_wrong_direction_is_falsified(monkeypatch, kernel_id, wrong):
+    kernel = K.KERNELS[kernel_id]
+    _declare(monkeypatch, dataclasses.replace(kernel, monotone=wrong))
+    report = V.verify_monotone(kernel_id, config=SMALL)
+    assert report["direction"] == wrong
     assert report["verdict"] == "falsified"
-    assert report["witness"] is not None or report["net_change"] < 0.0
-    # the witness is the deepest wrong-way step, which is where worst_step sits
-    assert report["witness"]["t"] == report["worst_at"]
+    # the witness is the deepest wrong-way step of the linspace grid, in t
+    ts = np.linspace(*V._inset(kernel.lo, kernel.hi, SMALL.endpoint_eps), SMALL.samples)
+    values = kernel.fn(ts)
+    sign = 1.0 if wrong == "increasing" else -1.0
+    i = int(np.argmin(sign * np.diff(values)))
+    assert report["witness"] == {
+        "t": ts[i].item(),
+        "t_next": ts[i + 1].item(),
+        "value": values[i].item(),
+        "value_next": values[i + 1].item(),
+    }
+    assert report["worst_at"] == report["witness"]["t"]
+
+
+def test_monotone_non_finite_value_names_the_step(monkeypatch):
+    # sinc is decreasing, so its steps are the links f(t_i+1) < f(t_i)
+    def inf_from_2(t):
+        return np.where(t < 2.0, K.sinc(t), np.inf)
+
+    _declare(monkeypatch, dataclasses.replace(K.KERNELS["sinc"], fn=inf_from_2))
+    with pytest.raises(DomainError, match=r"f\(t_i\+1\) < f\(t_i\): .* at t=1\.99"):
+        V.verify_monotone("sinc", config=SMALL)
 
 
 def test_monotone_requires_a_direction(monkeypatch):

@@ -12,14 +12,19 @@ margins and configs agree bit for bit print the same lines. The families:
 - kernels: the monotone check and the endpoint limits of every kernel;
 - m6: ``theorem_m6_iff_suite`` over the fixed exponents and seeded ones;
 - means: the mean chains at 20001 ratio samples for five ratio_max values;
-- flipped: every chain with each link flipped, at 2001 samples.
+- flipped: every chain with each link flipped, at 2001 samples;
+- monotone_flipped: the monotone check of every kernel with a declared
+  direction, with that direction flipped and as declared, at 2001 and 20001
+  samples. The flipped runs reach the check's falsified path.
 
-Only public calls that take a Chain or Probe object are used, so the tool
+Only public calls that take a Chain or Probe object are used, and the
+catalog is listed through its ``chains`` and ``probes`` mappings, so the tool
 runs against any tree with the current verifier API.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -52,8 +57,8 @@ def _drop_elapsed(value):
 def _families(catalog, kernels, verifier):
     cfg = verifier.VerificationConfig
     cat = catalog.load_catalog()
-    chains = [cat.get_chain(cid) for cid in cat.chain_ids()]
-    probes = [cat.get_probe(pid) for pid in cat.probe_ids()]
+    chains = list(cat.chains.values())
+    probes = list(cat.probes.values())
 
     yield "suite", [verifier.run_suite().to_dict()]
     yield "chains_probes", (
@@ -81,6 +86,28 @@ def _families(catalog, kernels, verifier):
         for c in chains
         for i in range(len(c.members) - 1)
     ]
+    yield "monotone_flipped", [
+        report
+        for kid, kernel in kernels.KERNELS.items()
+        if kernel.monotone is not None
+        for report in _monotone_flipped(kernels, verifier, kid, kernel)
+    ]
+
+
+def _monotone_flipped(kernels, verifier, kid, kernel) -> list:
+    """verify_monotone of one kernel flipped and as declared, at 2001 and
+    20001 samples; the registry entry is restored afterwards."""
+    flip = {"increasing": "decreasing", "decreasing": "increasing"}[kernel.monotone]
+    reports = []
+    for samples in (2001, 20001):
+        cfg = verifier.VerificationConfig(samples=samples)
+        kernels.KERNELS[kid] = dataclasses.replace(kernel, monotone=flip)
+        try:
+            reports.append(verifier.verify_monotone(kid, config=cfg))
+        finally:
+            kernels.KERNELS[kid] = kernel
+        reports.append(verifier.verify_monotone(kid, config=cfg))
+    return reports
 
 
 def main(argv: list[str]) -> int:
@@ -94,7 +121,7 @@ def main(argv: list[str]) -> int:
     for name, reports in _families(catalog, kernels, verifier):
         text = json.dumps(_drop_elapsed(reports))
         digest = hashlib.sha256(text.encode()).hexdigest()
-        print(f"{name:<14} {len(reports):>4} {digest}")
+        print(f"{name:<16} {len(reports):>4} {digest}")
     return 0
 
 
