@@ -325,8 +325,8 @@ class _LinkScan:
 
     def report(self, value_fn: Callable[[float], tuple[float, float]] | None) -> LinkReport:
         """The link's verdict. Given value_fn, the float sides at a coordinate,
-        the grid minimum is refined by golden-section search; without it the
-        grid minimum is reported as it is."""
+        the grid minimum is refined by golden-section search and a witness has
+        float sides; without it the grid values are reported as they are."""
         x_at = self.x_at
         min_idx, viol_idx = self.min_idx, self.viol_idx
         try:
@@ -355,14 +355,16 @@ class _LinkScan:
                 if bracket_hi > bracket_lo:
                     x2, a2, b2 = _golden_refine(value_fn, bracket_lo, bracket_hi)
                     if (b2 - a2) < min_margin:
-                        rx, ra, rb = x2, a2, b2
-                        min_margin = b2 - a2
+                        rx, ra, rb, min_margin = x2, a2, b2, b2 - a2
 
             candidates = []
             if viol_idx == min_idx:
                 candidates.append(grid_min)
             elif viol_idx >= 0:
-                candidates.append((x_at(viol_idx), *self.viol_sides))
+                vx = x_at(viol_idx)
+                sides = self.viol_sides if value_fn is None else value_fn(vx)
+                if _violates(*sides):
+                    candidates.append((vx, *sides))
             if _violates(ra, rb):
                 candidates.append((rx, ra, rb))
         except _EVAL_ERRORS as exc:

@@ -450,3 +450,17 @@ def test_float_recheck_covers_a_flat_valley_of_any_width():
     )
     x, a, b = min([(ts[i], lhs[i], rhs[i]), refined], key=lambda c: c[2] - c[1])
     assert report.links[0].witness == {"t": x, "lhs": a, "rhs": b, "margin": b - a}
+
+
+def test_deepest_violation_witness_has_float_sides():
+    # With link 1 of I-A23 flipped, the deepest violation at 2001 samples is
+    # not the smallest margin, which near t = 49 is a tie of huge values.
+    # The witness there must carry the float sides, which differ from
+    # numpy's in the last bit of rhs.
+    cfg = V.VerificationConfig(samples=2001, ratio_samples=2001)
+    chain = C.flipped_catalog(C.load_catalog(), "I-A23", 1).get_chain("I-A23")
+    link = V.verify_chain(chain, cfg).links[1]
+    w = link.witness
+    assert link.verdict == "falsified" and link.argmin != w["t"]
+    a, b = chain.member_fns[1](w["t"]), chain.member_fns[2](w["t"])
+    assert w == {"t": w["t"], "lhs": a, "rhs": b, "margin": b - a}
