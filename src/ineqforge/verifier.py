@@ -362,9 +362,9 @@ class _LinkScan:
                 candidates.append(grid_min)
             elif viol_idx >= 0:
                 vx = x_at(viol_idx)
-                sides = self.viol_sides if value_fn is None else value_fn(vx)
-                if _violates(*sides):
-                    candidates.append((vx, *sides))
+                viol_sides = self.viol_sides if value_fn is None else value_fn(vx)
+                if _violates(*viol_sides):
+                    candidates.append((vx, *viol_sides))
             if _violates(ra, rb):
                 candidates.append((rx, ra, rb))
         except _EVAL_ERRORS as exc:
@@ -700,6 +700,9 @@ def theorem_m6_iff_suite(
     For each exponent the regime chain must verify and both coefficient
     probes must falsify; together these trace the only-if direction of the
     optimal-coefficient statement across the three parameter ranges.
+    At the defaults a case is not ok for 0 < p < 0.2698 and -0.2864 < p < 0:
+    its near-right probe breaks only closer to pi/2 than the grid's last
+    point, pi/2 - 1.6e-9, and reports not_falsified.
     """
     cfg = config or VerificationConfig()
     cases = []
