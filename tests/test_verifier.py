@@ -231,25 +231,25 @@ def _declare(monkeypatch, kernel: K.Kernel) -> None:
     monkeypatch.setitem(K.KERNELS, kernel.id, kernel)
 
 
-@pytest.mark.parametrize("kernel_id, wrong", [("sinc", "increasing"), ("sinhc", "decreasing")])
-def test_monotone_wrong_direction_is_falsified(monkeypatch, kernel_id, wrong):
-    kernel = K.KERNELS[kernel_id]
-    _declare(monkeypatch, dataclasses.replace(kernel, monotone=wrong))
-    report = V.verify_monotone(kernel_id, config=SMALL)
-    assert report["direction"] == wrong
-    assert report["verdict"] == "falsified"
-    # the witness is the deepest wrong-way step of the linspace grid, in t
-    ts = np.linspace(*V._inset(kernel.lo, kernel.hi, SMALL.endpoint_eps), SMALL.samples)
-    values = kernel.fn(ts)
-    sign = 1.0 if wrong == "increasing" else -1.0
-    i = int(np.argmin(sign * np.diff(values)))
-    assert report["witness"] == {
-        "t": ts[i].item(),
-        "t_next": ts[i + 1].item(),
-        "value": values[i].item(),
-        "value_next": values[i + 1].item(),
-    }
-    assert report["worst_at"] == report["witness"]["t"]
+def test_monotone_wrong_direction_is_falsified(monkeypatch):
+    # sinc is decreasing and sinhc increasing: each is declared the other way
+    for kernel_id, wrong, sign in (("sinc", "increasing", 1.0), ("sinhc", "decreasing", -1.0)):
+        kernel = K.KERNELS[kernel_id]
+        _declare(monkeypatch, dataclasses.replace(kernel, monotone=wrong))
+        report = V.verify_monotone(kernel_id, config=SMALL)
+        assert report["direction"] == wrong
+        assert report["verdict"] == "falsified"
+        # the witness is the deepest wrong-way step of the linspace grid, in t
+        ts = np.linspace(*V._inset(kernel.lo, kernel.hi, SMALL.endpoint_eps), SMALL.samples)
+        values = kernel.fn(ts)
+        i = int(np.argmin(sign * np.diff(values)))
+        assert report["witness"] == {
+            "t": ts[i].item(),
+            "t_next": ts[i + 1].item(),
+            "value": values[i].item(),
+            "value_next": values[i + 1].item(),
+        }
+        assert report["worst_at"] == report["witness"]["t"]
 
 
 def test_monotone_non_finite_value_names_the_step(monkeypatch):
