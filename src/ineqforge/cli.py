@@ -223,8 +223,9 @@ def _cmd_table(args: argparse.Namespace) -> tuple[int, None]:
         raise IneqForgeError("--count must be at least 2")
     step = (stop - start) / (args.count - 1)
     # Every row is computed before the output is opened, so a failing row
-    # leaves no partial table behind.
-    ts = [start + i * step for i in range(args.count)]
+    # leaves no partial table behind. The last point is stop itself, as in
+    # np.linspace: start + (count - 1) * step can round past it.
+    ts = [start + i * step for i in range(args.count - 1)] + [stop]
     values = []
     for t in ts:
         try:

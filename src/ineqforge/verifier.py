@@ -8,6 +8,11 @@ nonnegative up to a relative tie threshold and at least one margin is
 clearly positive; ties never count as evidence, so a chain of identical
 members cannot pass.
 
+Each link is judged at one point: the first deepest violation if any margin
+violates, else the first smallest margin. The float recheck, golden-section
+refinement and witness all work on that point, so a falsified link's
+min_margin and argmin are its witness's margin and coordinate.
+
 Grids are evaluated and scanned in blocks of 4096 points: one member call
 and a few array operations per block, and no grid-sized array per member or
 intermediate. Kernel chains and probes make their points one block at a
@@ -53,8 +58,8 @@ from .means import mean_bundle
 # collapsing when both sides are tiny.
 _TIE_REL = 1e-13
 # Grid margins from numpy sit within 0.07 tie thresholds of the float ones on
-# the packaged catalog; grid points within 0.15 of a violating minimum are
-# evaluated again as floats.
+# the packaged catalog; grid points within 0.15 of violating and of the
+# deepest violation are evaluated again as floats.
 _FLOAT_SLACK = 0.15
 # Grids are evaluated and scanned in blocks of this many points, so a check
 # holds 32 KB arrays where a whole 20001-point grid takes 160 KB per member
@@ -85,6 +90,9 @@ class VerificationConfig:
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
+            # A sample count is an int: not a bool, nor a whole float.
+            if f.type == "int" and type(value) is not int:
+                raise DomainError(f"{f.name} must be an int, got {value!r}")
             if isinstance(value, float) and not math.isfinite(value):
                 raise DomainError(f"{f.name} must be finite, got {value!r}")
         if self.samples < 3:
@@ -241,25 +249,29 @@ def _violates(lhs: float, rhs: float) -> bool:
     return rhs - lhs < -_TIE_REL * max(1.0, abs(lhs), abs(rhs))
 
 
+def _rank(lhs: float, rhs: float) -> tuple[bool, float]:
+    """The scan's order on points: violations first, then by margin."""
+    return not _violates(lhs, rhs), rhs - lhs
+
+
 class _LinkScan:
     """The margin engine: one link's margins rhs - lhs, fed a block at a time.
 
     Every check reduces to this: a violation is a margin below -tie, positive
-    evidence a margin above +tie. The scan keeps the first smallest margin and
-    the first deepest violation with their side values, whether any margin is
-    positive or nonzero, and the points within _FLOAT_SLACK tie thresholds of
-    the running minimum. A member value that is not real and finite, or a
-    failure while refining, is a DomainError naming ``where`` and the link.
-    ``x_at`` maps a point's index to its coordinate.
+    evidence a margin above +tie. The scan keeps one point with its side
+    values: the first deepest violation if any margin violates, else the
+    first smallest margin. It also records whether any margin is positive or
+    nonzero, and keeps the near set: the points within _FLOAT_SLACK tie
+    thresholds of violating and of the deepest violation so far, which the
+    float recheck evaluates again. A member value that is not real and
+    finite, or a failure while refining, is a DomainError naming ``where``
+    and the link. ``x_at`` maps a point's index to its coordinate.
 
-    A block skips the work its lowest margin rules out, and each skip is
-    exact. Every tie threshold is at least _TIE_REL, so a block whose lowest
-    margin is at least -_TIE_REL holds no violation and is not searched for
-    one. A block whose lowest margin lies above the running minimum plus
-    _FLOAT_SLACK times its largest threshold adds no near point, because
-    rounding is monotone; if it also left the minimum where it was, the near
-    set is not touched. The kept near points are filtered again only when
-    the minimum moves, as no other block can push one out.
+    Every tie threshold is at least _TIE_REL, so a block whose lowest margin
+    is at least -(1 - _FLOAT_SLACK) * _TIE_REL holds no point of the near set
+    and is not searched for one; the skip is exact. The kept near points are
+    filtered again only when the deepest violation moves, as no other block
+    can push one out.
     """
 
     def __init__(self, where: str, lhs_expr: str, rhs_expr: str, coord: str, x_at: Callable):
@@ -269,9 +281,10 @@ class _LinkScan:
         self.coord = coord
         self.x_at = x_at
         self.n = 0
-        self.min_idx = self.viol_idx = -1
-        self.min_margin = self.viol_margin = 0.0
-        self.min_sides = self.viol_sides = (0.0, 0.0)
+        self.idx = -1
+        self.margin = 0.0
+        self.sides = (0.0, 0.0)
+        self.violating = False
         self.has_positive = False
         self.all_zero = True
         self.near = None
@@ -280,6 +293,9 @@ class _LinkScan:
         return DomainError(
             f"{self.where}: cannot assess {self.lhs_expr} < {self.rhs_expr}: {detail}"
         )
+
+    def _take(self, idx: int, a, b, m) -> None:
+        self.idx, self.margin, self.sides = idx, m.item(), (a.item(), b.item())
 
     def add(self, a, b) -> None:
         """Scan the next block of side values."""
@@ -296,84 +312,66 @@ class _LinkScan:
         m = b - a
         j = int(np.argmin(m))
         low = m[j].item()
-        moved = self.min_idx < 0 or low < self.min_margin
-        if moved:
-            self.min_idx, self.min_margin = start + j, low
-            self.min_sides = (a[j].item(), b[j].item())
+        if not self.violating and (self.idx < 0 or low < self.margin):
+            self._take(start + j, a[j], b[j], m[j])
         self.has_positive = self.has_positive or bool((m > theta).any())
         self.all_zero = self.all_zero and not m.any()
-        if low < -_TIE_REL:
-            violating = np.flatnonzero(m < -theta)
-            if len(violating):
-                j = int(violating[np.argmin(m[violating])])
-                if self.viol_idx < 0 or m[j] < self.viol_margin:
-                    self.viol_idx, self.viol_margin = start + j, m[j].item()
-                    self.viol_sides = (a[j].item(), b[j].item())
-        if not moved and low > self.min_margin + _FLOAT_SLACK * theta.max().item():
+        if low >= -(1.0 - _FLOAT_SLACK) * _TIE_REL:
             return
-        # A point left out here is above the running minimum by more than
-        # its slack, so it stays out of reach of every later minimum.
-        near = np.flatnonzero(m <= self.min_margin + _FLOAT_SLACK * theta)
+        near = np.flatnonzero(m < -(1.0 - _FLOAT_SLACK) * theta)
+        violating = near[m[near] < -theta[near]]
+        moved = False
+        if len(violating):
+            j = int(violating[np.argmin(m[violating])])
+            if not self.violating or m[j] < self.margin:
+                self._take(start + j, a[j], b[j], m[j])
+                self.violating = moved = True
+        if self.violating:
+            near = near[m[near] <= self.margin + _FLOAT_SLACK * theta[near]]
         parts = (start + near, m[near], theta[near])
         if self.near is not None:
-            parts = tuple(np.concatenate(p) for p in zip(self.near, parts))
+            old = self.near
             if moved:
-                idx, margins, thetas = parts
-                keep = margins <= self.min_margin + _FLOAT_SLACK * thetas
-                parts = (idx[keep], margins[keep], thetas[keep])
+                keep = old[1] <= self.margin + _FLOAT_SLACK * old[2]
+                old = tuple(p[keep] for p in old)
+            parts = tuple(np.concatenate(p) for p in zip(old, parts))
         self.near = parts
 
     def report(self, value_fn: Callable[[float], tuple[float, float]] | None) -> LinkReport:
-        """The link's verdict. Given value_fn, the float sides at a coordinate,
-        the grid minimum is refined by golden-section search and a witness has
-        float sides; without it the grid values are reported as they are."""
+        """The link's verdict at its one point. Given value_fn, the float sides
+        at a coordinate, a violating point is chosen again among the near set
+        as floats, and the point is refined by golden-section search, so a
+        witness has float sides; without it the grid values are reported as
+        they are. A falsified link's min_margin and argmin are its witness's."""
         x_at = self.x_at
-        min_idx, viol_idx = self.min_idx, self.viol_idx
+        idx, (ra, rb) = self.idx, self.sides
         try:
-            ra, rb = self.min_sides
-            if value_fn is not None and _violates(ra, rb):
+            if value_fn is not None and self.violating:
                 # numpy and math can differ in the last bits, enough to move
-                # the first minimum inside a flat valley and the refinement
-                # bracket with it. The points near a violating minimum are
-                # evaluated again as floats, and the first float minimum is
-                # refined, as a float-only scan would have chosen.
+                # the first deepest violation inside a flat valley and the
+                # refinement bracket with it. The near points are evaluated
+                # again as floats and chosen by the scan's order, as a
+                # float-only scan would have chosen.
                 near = self.near[0].tolist()
                 sides = [value_fn(x_at(i)) for i in near]
-                k = min(range(len(near)), key=lambda k: sides[k][1] - sides[k][0])
-                min_idx = near[k]
-                ra, rb = sides[k]
-                if _violates(ra, rb):
-                    viol_idx = min_idx
-            grid_min = (x_at(min_idx), ra, rb)
-            rx = grid_min[0]
-            min_margin = rb - ra
-
-            # Narrow dips can fall between grid nodes; refine around the grid minimum.
+                k = min(range(len(near)), key=lambda k: _rank(*sides[k]))
+                idx, (ra, rb) = near[k], sides[k]
+            rx = x_at(idx)
+            # Narrow dips can fall between grid nodes; refine around the point.
             if value_fn is not None:
-                bracket_lo = x_at(max(0, min_idx - 1))
-                bracket_hi = x_at(min(self.n - 1, min_idx + 1))
+                bracket_lo = x_at(max(0, idx - 1))
+                bracket_hi = x_at(min(self.n - 1, idx + 1))
                 if bracket_hi > bracket_lo:
                     x2, a2, b2 = _golden_refine(value_fn, bracket_lo, bracket_hi)
-                    if (b2 - a2) < min_margin:
-                        rx, ra, rb, min_margin = x2, a2, b2, b2 - a2
-
-            candidates = []
-            if viol_idx == min_idx:
-                candidates.append(grid_min)
-            elif viol_idx >= 0:
-                vx = x_at(viol_idx)
-                viol_sides = self.viol_sides if value_fn is None else value_fn(vx)
-                if _violates(*viol_sides):
-                    candidates.append((vx, *viol_sides))
-            if _violates(ra, rb):
-                candidates.append((rx, ra, rb))
+                    if _rank(a2, b2) < _rank(ra, rb):
+                        rx, ra, rb = x2, a2, b2
         except _EVAL_ERRORS as exc:
             raise self._error(exc) from exc
+        min_margin = rb - ra
         witness = note = None
-        if candidates:
+        if _violates(ra, rb):
             verdict = "falsified"
-            wx, wa, wb = min(candidates, key=lambda c: c[2] - c[1])
-            witness = {self.coord: wx, "lhs": wa, "rhs": wb, "margin": wb - wa}
+            witness = {self.coord: rx, "lhs": ra, "rhs": rb, "margin": min_margin}
         elif self.all_zero:
             verdict, min_margin, rx = "falsified", 0.0, x_at(0)
             note = "degenerate: both sides are numerically identical across the grid"
@@ -641,13 +639,12 @@ def verify_monotone(kernel_id: str, config: VerificationConfig | None = None) ->
     for start in range(0, len(ts) - 1, _BLOCK):
         scan.add(*(side[start:start + _BLOCK] for side in sides))
     link = scan.report(None)
-    j = scan.min_idx
+    i = scan.idx
     # Recomputed rather than taken from min_margin: a flat step of a
     # decreasing kernel is -0.0 here, and the report keeps that sign.
-    worst_step = sign * (values[j + 1] - values[j]).item()
+    worst_step = sign * (values[i + 1] - values[i]).item()
     witness = None
     if link.witness is not None:
-        i = scan.viol_idx
         witness = {
             "t": ts.item(i),
             "t_next": ts.item(i + 1),

@@ -33,51 +33,45 @@ TIE_REL = 1e-13
 
 
 def reference_scan(lhs_vals, rhs_vals) -> dict:
-    """The float loop the array scan replaced, without refinement.
+    """The float loop of the margin scan, without refinement.
 
-    Returns the verdict, the first smallest margin and its index, the index
-    of the first deepest violation (-1 without one), and the step of the
-    witness (that violation, or the minimum when that is a violation too).
+    The scan keeps one point: the first deepest violation if any margin
+    violates, else the first smallest margin. Returns the verdict, that
+    point's index as ``idx``, the margin and argmin a report shows, the step
+    of the witness, and the near set the float recheck evaluates again: the
+    points within 0.15 tie thresholds of violating and of the deepest
+    violation.
     """
-    min_margin = math.inf
-    min_idx = 0
-    viol_idx = -1
-    viol_margin = 0.0
+    idx = -1
+    rank = None
     has_positive = False
     all_zero = True
+    thetas = []
     for i in range(len(lhs_vals)):
         a = lhs_vals[i]
         b = rhs_vals[i]
         m = b - a
+        theta = TIE_REL * max(1.0, abs(a), abs(b))
+        thetas.append(theta)
         if m != 0.0:
             all_zero = False
-        if m < min_margin:
-            min_margin = m
-            min_idx = i
-        theta = TIE_REL * max(1.0, abs(a), abs(b))
-        if m < -theta:
-            if viol_idx < 0 or m < viol_margin:
-                viol_margin = m
-                viol_idx = i
-        elif m > theta:
+        if m > theta:
             has_positive = True
-
-    ra, rb = lhs_vals[min_idx], rhs_vals[min_idx]
-    candidates = []
-    if viol_idx >= 0:
-        candidates.append((viol_idx, lhs_vals[viol_idx], rhs_vals[viol_idx]))
-    if (rb - ra) < -TIE_REL * max(1.0, abs(ra), abs(rb)):
-        candidates.append((min_idx, ra, rb))
-    if candidates:
-        step = min(candidates, key=lambda c: c[2] - c[1])[0]
-        return {"verdict": "falsified", "min_margin": min_margin, "argmin": min_idx,
-                "viol_idx": viol_idx, "step": step}
+        if idx < 0 or (m >= -theta, m) < rank:
+            idx, rank = i, (m >= -theta, m)
+    violating, margin = not rank[0], rank[1]
+    near = [
+        i for i, theta in enumerate(thetas)
+        if (m := rhs_vals[i] - lhs_vals[i]) < -(1.0 - 0.15) * theta
+        and (not violating or m <= margin + 0.15 * theta)
+    ]
+    scan = {"idx": idx, "near": near}
+    if violating:
+        return {"verdict": "falsified", "min_margin": margin, "argmin": idx, "step": idx, **scan}
     if all_zero:
-        return {"verdict": "falsified", "min_margin": 0.0, "argmin": 0,
-                "viol_idx": viol_idx, "step": None}
+        return {"verdict": "falsified", "min_margin": 0.0, "argmin": 0, "step": None, **scan}
     verdict = "verified_numeric" if has_positive else "inconclusive"
-    return {"verdict": verdict, "min_margin": min_margin, "argmin": min_idx,
-            "viol_idx": viol_idx, "step": None}
+    return {"verdict": verdict, "min_margin": margin, "argmin": idx, "step": None, **scan}
 
 
 def block_scan(lhs_vals, rhs_vals) -> V._LinkScan:
@@ -93,8 +87,9 @@ def array_scan(lhs_vals, rhs_vals) -> dict:
     scan = block_scan(lhs_vals, rhs_vals)
     link = scan.report(None)
     step = None if link.witness is None else link.witness["step"]
+    near = [] if scan.near is None else scan.near[0].tolist()
     return {"verdict": link.verdict, "min_margin": link.min_margin, "argmin": link.argmin,
-            "viol_idx": scan.viol_idx, "step": step}
+            "step": step, "idx": scan.idx, "near": near}
 
 
 # Values and margins chosen to hit exact ties, margins of exactly +-tie
@@ -146,30 +141,49 @@ _EDGE = st.sampled_from([0, 1, 2, 3, V._BLOCK - 1, V._BLOCK - 2])
 )
 def test_block_skips_keep_the_near_set_and_the_violation(background, points):
     # minima, ties and violations planted at block edges, so that later blocks
-    # move the minimum, add near points to an unmoved one, or are skipped
+    # move the deepest violation, add near points to an unmoved one, or are
+    # skipped
     n = 3 * V._BLOCK + 17
     lhs = [0.5] * n
     rhs = [0.5 + background] * n
     for block, offset, a, m in points:
         i = min(block * V._BLOCK + offset, n - 1)
         lhs[i], rhs[i] = a, a + m
-    scan = block_scan(lhs, rhs)
-    margins = [b - a for a, b in zip(lhs, rhs)]
-    lowest = min(margins)
-    near = [
-        i for i, (m, a, b) in enumerate(zip(margins, lhs, rhs))
-        if m <= lowest + 0.15 * (TIE_REL * max(1.0, abs(a), abs(b)))
-    ]
-    assert scan.near[0].tolist() == near
-    assert scan.viol_idx == reference_scan(lhs, rhs)["viol_idx"]
+    got = array_scan(lhs, rhs)
+    want = reference_scan(lhs, rhs)
+    assert (got["near"], got["idx"]) == (want["near"], want["idx"])
+    assert got == want
 
 
 def test_array_scan_takes_first_of_repeated_minima():
     lhs = [0.0] * 6
     rhs = [1e-3, -1e-3, 5e-4, -1e-3, -1e-3, 1e-3]
-    assert array_scan(lhs, rhs) == reference_scan(lhs, rhs)
-    assert array_scan(lhs, rhs)["argmin"] == 1
-    assert array_scan(lhs, rhs)["step"] == 1
+    got = array_scan(lhs, rhs)
+    assert got == reference_scan(lhs, rhs)
+    assert got["argmin"] == got["step"] == got["idx"] == 1
+    assert got["near"] == [1, 3, 4]
+
+
+def test_array_scan_puts_a_violation_before_a_lower_tie():
+    # -1e-8 at sides near 1e6 is a tie (threshold 1e-7) and the smallest
+    # margin; the link's one point is still the violation at index 2
+    lhs = [1e6, 0.0, 0.0, 0.0]
+    rhs = [1e6 - 1e-8, 1e-3, -1e-3, 5e-4]
+    got = array_scan(lhs, rhs)
+    assert got == reference_scan(lhs, rhs)
+    assert got["min_margin"] == -1e-3 and got["argmin"] == got["step"] == 2
+    assert got["near"] == [2]
+
+
+def test_near_set_keeps_its_boundary():
+    # tie threshold 1e-13 at every point: a margin of exactly the deepest
+    # violation plus 0.15 thresholds is near, one ulp above it is not
+    edge = -1e-3 + 0.15 * 1e-13
+    lhs = [0.0] * 4
+    rhs = [edge, -1e-3, np.nextafter(edge, 0.0).item(), edge]
+    got = array_scan(lhs, rhs)
+    assert got == reference_scan(lhs, rhs)
+    assert got["near"] == [0, 1, 3]
 
 
 @pytest.mark.parametrize("kid", list(K.KERNELS))
@@ -453,14 +467,15 @@ def test_float_recheck_covers_a_flat_valley_of_any_width():
 
 
 def test_deepest_violation_witness_has_float_sides():
-    # With link 1 of I-A23 flipped, the deepest violation at 2001 samples is
-    # not the smallest margin, which near t = 49 is a tie of huge values.
-    # The witness there must carry the float sides, which differ from
-    # numpy's in the last bit of rhs.
+    # With link 1 of I-A23 flipped, the smallest margin at 2001 samples is a
+    # tie of huge values near t = 49. The link's one point is the deepest
+    # violation near t = 3.4 instead: its argmin and min_margin are the
+    # witness's, and the witness carries the float sides.
     cfg = V.VerificationConfig(samples=2001, ratio_samples=2001)
     chain = C.flipped_catalog(C.load_catalog(), "I-A23", 1).get_chain("I-A23")
     link = V.verify_chain(chain, cfg).links[1]
     w = link.witness
-    assert link.verdict == "falsified" and link.argmin != w["t"]
+    assert link.verdict == "falsified"
+    assert link.argmin == w["t"] and link.min_margin == w["margin"]
     a, b = chain.member_fns[1](w["t"]), chain.member_fns[2](w["t"])
     assert w == {"t": w["t"], "lhs": a, "rhs": b, "margin": b - a}

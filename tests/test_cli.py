@@ -243,6 +243,17 @@ def test_table_bad_range_and_count(capsys):
     assert code == 2 and "--count" in err
 
 
+def test_table_last_row_is_stop(capsys):
+    # start + 25 * step rounds to 1.5707963267948968, past pi/2 and out of
+    # U's domain; the last row must be stop itself
+    stop = "1.5707963267948966"
+    code, out, err = run(capsys, "table", "U(p=0.5)", "--start", "0", "--stop", stop,
+                         "--count", "26")
+    assert code == 0, err
+    rows = list(csv.reader(io.StringIO(out)))
+    assert len(rows) == 27 and rows[-1][0] == repr(float(stop))
+
+
 def test_table_arithmetic_failure_names_t(capsys):
     code, out, err = run(capsys, "table", "sinhc", "--start", "1", "--stop", "1000",
                          "--count", "3")

@@ -1,0 +1,31 @@
+"""The helper scripts under tools/ run against this tree."""
+
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+DIGEST_FAMILIES = [
+    ("suite", 1),
+    ("chains_probes", 67),
+    ("kernels", 23),
+    ("m6", 69),
+    ("means", 80),
+    ("flipped", 165),
+    ("monotone_flipped", 92),
+]
+
+
+def test_report_digest_prints_every_family():
+    # Two trees are compared by these lines, so the script must keep running
+    # and keep its families; the digests themselves are not pinned here.
+    proc = subprocess.run(
+        [sys.executable, "tools/report_digest.py", "src"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = [line.split() for line in proc.stdout.splitlines()]
+    assert [(name, int(count)) for name, count, _ in lines] == DIGEST_FAMILIES
+    assert all(re.fullmatch(r"[0-9a-f]{64}", digest) for _, _, digest in lines)

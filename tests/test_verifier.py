@@ -50,6 +50,11 @@ def test_config_defaults():
         {"epsilon": math.nan},
         {"epsilon": math.inf},
         {"ratio_max": math.inf},
+        {"samples": 2001.5},
+        {"samples": 2001.0},
+        {"samples": True},
+        {"ratio_samples": 100.0},
+        {"ratio_samples": np.int64(100)},
     ],
 )
 def test_config_validation(kwargs):
@@ -115,6 +120,37 @@ def test_flipped_link_is_falsified_and_named(cat):
     assert named == {original.members[1], original.members[2]}
     assert bad[0].witness is not None
     assert bad[0].witness["margin"] < 0.0
+
+
+def test_flipped_falsified_links_report_their_witness(cat):
+    # Every falsified link of every flipped chain is judged at its witness:
+    # argmin and min_margin are the witness's, and the witness violates by
+    # more than the tie threshold when the members are called on floats.
+    cfg = VerificationConfig(samples=2001, ratio_samples=2001)
+    checked, wrong = 0, []
+    for chain in cat.chains.values():
+        for i in range(len(chain.members) - 1):
+            flipped = C.flipped_catalog(cat, chain.id, i).get_chain(chain.id)
+            for j, link in enumerate(V.verify_chain(flipped, cfg).links):
+                w = link.witness
+                if link.verdict != "falsified" or w is None:
+                    continue
+                if flipped.kind == "mean":
+                    x = w["ratio"]
+                    bundle = M.mean_bundle(*w["pair"])
+                    args = [bundle[v] for v in C.MEAN_VARS]
+                else:
+                    x = w["t"]
+                    args = [x]
+                a = flipped.member_fns[j](*args)
+                b = flipped.member_fns[j + 1](*args)
+                if (link.argmin, link.min_margin) != (x, w["margin"]) or not (
+                    b - a < -1e-13 * max(1.0, abs(a), abs(b))
+                ):
+                    wrong.append(f"{chain.id} flipped at {i}, link {j}")
+                checked += 1
+    assert checked >= 165
+    assert wrong == []
 
 
 # --- mean chains ----------------------------------------------------------------------
