@@ -9,6 +9,12 @@ The M6 exponent family is a table of templates per exponent regime with the
 exponent as a slot: filled with its literal they are the printed members and
 probe sides, and filled with the name ``q`` they are compiled once and bound
 to each exponent, so building a regime chain compiles nothing.
+
+A mean chain transcribes a kernel chain through the arcsin or arctan
+substitution. Its ``counterpart`` names one ``[kernel_chain_id,
+member_index]`` per member, resolved against the kernel chains listed before
+it; those members, already compiled, are its twins. A link may move to
+another kernel chain only at a member the two share.
 """
 
 from __future__ import annotations
@@ -28,6 +34,10 @@ from .errors import CatalogError
 
 # The arguments of a mean chain's members and scale: the bundle's means.
 MEAN_VARS = means._BUNDLE_KINDS
+
+# The t-range each substitution maps the ratios onto: a counterpart's domain
+# must cover it.
+_T_RANGES = {"arcsin": (0.0, math.pi / 2), "arctan": (0.0, math.pi / 4)}
 
 _REGIONS = ("near_zero", "near_right")
 _DIRECTIONS = ("+", "-")
@@ -147,7 +157,8 @@ class Chain:
     """One inequality chain: members are ordered smallest to largest.
 
     A mean chain's ``mean_kinds`` are the means its members and scale read,
-    in MEAN_VARS order.
+    in MEAN_VARS order. Its ``counterpart`` holds a (kernel chain id, member
+    index) per member, and ``twin_members``/``twin_fns`` are those members.
     """
 
     id: str
@@ -160,6 +171,7 @@ class Chain:
     scale_fn: Callable | None = None
     twin_members: tuple[str, ...] | None = None
     twin_fns: tuple[Callable, ...] | None = None
+    counterpart: tuple[tuple[str, int], ...] | None = None
     mean_kinds: tuple[str, ...] = ()
 
 
@@ -186,7 +198,52 @@ class Probe:
     rhs_fn: Callable
 
 
-def _build_chain(record: dict, compile_fn: Callable = compile_expression) -> Chain:
+def _counterpart(
+    chain_id: str, refs: list, substitution: str, chains: Mapping[str, Chain]
+) -> tuple[tuple[str, int], ...]:
+    """Check a mean chain's counterpart references against the kernel chains
+    without evaluating anything, and return them as (chain id, index) pairs."""
+    lo, hi = _T_RANGES[substitution]
+    resolved = []
+    for ref in refs:
+        kid, index = ref if isinstance(ref, list) and len(ref) == 2 else (None, None)
+        if type(kid) is not str or type(index) is not int:
+            raise CatalogError(
+                f"chain {chain_id!r} has counterpart reference {ref!r}; "
+                "expected [kernel_chain_id, member_index]"
+            )
+        kernel = chains.get(kid)
+        if kernel is None or kernel.kind != "kernel":
+            what = "unknown chain" if kernel is None else "mean chain"
+            raise CatalogError(f"chain {chain_id!r} has counterpart in {what} {kid!r}")
+        if not 0 <= index < len(kernel.members):
+            raise CatalogError(
+                f"chain {chain_id!r} has counterpart {kid}[{index}]; "
+                f"{kid!r} has {len(kernel.members)} members"
+            )
+        if not (kernel.domain[0] <= lo and hi <= kernel.domain[1]):
+            raise CatalogError(
+                f"chain {chain_id!r} has counterpart {kid!r}, whose domain does not "
+                f"cover the {substitution} substitution's t-range ({lo:.6g}, {hi:.6g})"
+            )
+        resolved.append((kid, index))
+    for (kid, index), (right_kid, right_index) in zip(resolved, resolved[1:]):
+        right = chains[right_kid].members[right_index]
+        if right not in chains[kid].members[index + 1:]:
+            raise CatalogError(
+                f"chain {chain_id!r} links {kid}[{index}] to {right_kid}[{right_index}], "
+                f"but {right!r} does not follow member {index} of {kid!r}"
+            )
+    return tuple(resolved)
+
+
+def _build_chain(
+    record: dict,
+    chains: Mapping[str, Chain] = MappingProxyType({}),
+    compile_fn: Callable = compile_expression,
+) -> Chain:
+    """Build one chain record; a mean chain's counterpart resolves against
+    the kernel chains in ``chains``."""
     chain_id = record["id"]
     kind = record["kind"]
     members = tuple(record["members"])
@@ -203,20 +260,21 @@ def _build_chain(record: dict, compile_fn: Callable = compile_expression) -> Cha
         fns = tuple(compile_fn(m, ("t",)) for m in members)
         return Chain(id=chain_id, kind=kind, members=members, member_fns=fns, domain=(lo, hi))
     substitution = record["substitution"]
-    if substitution not in ("arcsin", "arctan"):
+    if substitution not in _T_RANGES:
         raise CatalogError(
             f"chain {chain_id!r} has unknown substitution {substitution!r}"
         )
     scale = record["scale"]
-    twins = tuple(record["twin_members"])
-    if len(twins) != len(members):
+    refs = record["counterpart"]
+    if len(refs) != len(members):
         raise CatalogError(
-            f"chain {chain_id!r} has {len(twins)} twin members for {len(members)} members"
+            f"chain {chain_id!r} has {len(refs)} counterpart references "
+            f"for {len(members)} members"
         )
+    counterpart = _counterpart(chain_id, refs, substitution, chains)
     fns = tuple(compile_fn(m, MEAN_VARS) for m in members)
     scale_fn = compile_fn(scale, MEAN_VARS)
     reads = frozenset().union(*(fn.names for fn in (*fns, scale_fn)))
-    twin_fns = tuple(compile_fn(m, ("t",)) for m in twins)
     return Chain(
         id=chain_id,
         kind=kind,
@@ -225,8 +283,9 @@ def _build_chain(record: dict, compile_fn: Callable = compile_expression) -> Cha
         substitution=substitution,
         scale=scale,
         scale_fn=scale_fn,
-        twin_members=twins,
-        twin_fns=twin_fns,
+        twin_members=tuple(chains[kid].members[i] for kid, i in counterpart),
+        twin_fns=tuple(chains[kid].member_fns[i] for kid, i in counterpart),
+        counterpart=counterpart,
         mean_kinds=tuple(v for v in MEAN_VARS if v in reads),
     )
 
@@ -312,7 +371,7 @@ def load_catalog() -> Catalog:
 
     chains: dict[str, Chain] = {}
     for record in data["chains"]:
-        chain = _build_chain(record, compile_once)
+        chain = _build_chain(record, chains, compile_once)
         if chain.id in chains:
             raise CatalogError(f"duplicate chain id {chain.id!r}")
         chains[chain.id] = chain
@@ -453,7 +512,7 @@ def flipped_catalog(source: Catalog, chain_id: str, link_index: int) -> Catalog:
 
     fields = ("members", "member_fns")
     if chain.kind == "mean":
-        fields += ("twin_members", "twin_fns")
+        fields += ("twin_members", "twin_fns", "counterpart")
     chains = dict(source.chains)
     chains[chain_id] = replace(chain, **{f: swapped(getattr(chain, f)) for f in fields})
     return Catalog(chains, dict(source.probes))

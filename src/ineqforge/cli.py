@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -111,7 +112,9 @@ def _cmd_list(args: argparse.Namespace) -> tuple[int, None]:
                 lo, hi = chain.domain
                 where = f"t in ({lo:.6g}, {hi:.6g})"
             else:
-                where = f"{chain.substitution} substitution, scale {chain.scale}"
+                groups = itertools.groupby(chain.counterpart, key=lambda ref: ref[0])
+                refs = " ".join(f"{kid}[{','.join(str(i) for _, i in g)}]" for kid, g in groups)
+                where = f"{chain.substitution} substitution, scale {chain.scale}, counterpart {refs}"
             print(f"  {cid:12s} {chain.kind:6s} {len(chain.members)} members, {where}")
     if args.probes or every:
         print("probes:")

@@ -32,6 +32,7 @@ def test_mean_chains_carry_twins():
             assert chain.substitution in ("arcsin", "arctan")
             assert chain.scale is not None
             assert len(chain.twin_members) == len(chain.members)
+            assert len(chain.counterpart) == len(chain.members)
         else:
             assert chain.substitution is None
             assert chain.domain[0] < chain.domain[1]
@@ -307,6 +308,7 @@ def test_flipped_catalog_mean_chain_swaps_twins_too():
     assert flipped.twin_members[1] == original.twin_members[2]
     assert flipped.member_fns[1:3] == original.member_fns[2:0:-1]
     assert flipped.twin_fns[1:3] == original.twin_fns[2:0:-1]
+    assert flipped.counterpart[1:3] == original.counterpart[2:0:-1]
 
 
 def test_flipped_catalog_rejects_bad_index():
@@ -337,7 +339,7 @@ def test_build_chain_validation():
                 "substitution": "polar",
                 "scale": "A",
                 "members": ["t", "t+1"],
-                "twin_members": ["t", "t+1"],
+                "counterpart": [["M1", 0], ["M1", 1]],
             })
     with pytest.raises(CatalogError):
         C._build_chain(
@@ -347,8 +349,74 @@ def test_build_chain_validation():
                 "substitution": "arcsin",
                 "scale": "A",
                 "members": ["G", "A"],
-                "twin_members": ["cos(t)"],
+                "counterpart": [["M1c", 0]],
             })
+
+
+def test_mean_chain_twins_are_their_counterpart_members():
+    # nothing is compiled for a twin: it is the kernel member itself
+    cat = C.load_catalog()
+    for chain in cat.chains.values():
+        if chain.kind != "mean":
+            continue
+        for (kid, index), twin, fn in zip(chain.counterpart, chain.twin_members, chain.twin_fns):
+            kernel = cat.get_chain(kid)
+            assert kernel.kind == "kernel", chain.id
+            assert (twin, fn) == (kernel.members[index], kernel.member_fns[index]), chain.id
+    assert cat.get_chain("M2c3-i").counterpart == (
+        ("M23c", 3), ("M2c3", 0), ("M2c3", 1), ("M2c3", 2))
+
+
+def _mean_record(counterpart, substitution="arcsin"):
+    return {
+        "id": "mean-x",
+        "kind": "mean",
+        "substitution": substitution,
+        "scale": "A",
+        "members": ["G", "X", "(A+G)/2"],
+        "counterpart": counterpart,
+    }
+
+
+# A kernel chain whose domain covers arctan's (0, pi/4) but not arcsin's (0, pi/2).
+_SHORT = C._build_chain(
+    {"id": "short", "kind": "kernel", "domain": ["0", "1"],
+     "members": ["cos(t)", "exp_tcot(t)", "cos(t/2)**2"]})
+
+
+@pytest.mark.parametrize(
+    "counterpart",
+    [
+        [["M1c", 0], ["M1c", 3]],  # two references for three members
+        [["M1c", 0], ["M1c", 3], ["no-such-chain", 0]],
+        [["M1c", 0], ["M1c", 3], ["M1c-i1", 2]],  # not a kernel chain
+        [["M1c", 0], ["M1c", 3], ["M1c", 8]],
+        [["M1c", -1], ["M1c", 3], ["M1c", 4]],
+        [["short", 0], ["short", 1], ["short", 2]],  # domain ends at 1
+        [["M1c", 0], ["M1c", 4], ["M1c", 3]],  # right member before left
+        [["M1c", 0], ["M1c", 0], ["M1c", 4]],  # a member does not follow itself
+        # a switch to M1 at cos(2*t/3)**(3/2), which M1c holds before member 3
+        [["M1c", 3], ["M1", 0], ["M1c", 4]],
+        [["M1c", 0], ["M1c", 3], ["M1c"]],  # malformed references
+        [["M1c", 0], ["M1c", 3], ["M1c", 4.0]],
+        [["M1c", 0], ["M1c", 3], ["M1c", True]],
+        [["M1c", 0], ["M1c", 3], "M1c"],
+        [["M1c", 0], ["M1c", 3], [["M1c"], 4]],
+    ],
+)
+def test_counterpart_rejections_name_the_mean_chain(counterpart):
+    chains = {**C.load_catalog().chains, "short": _SHORT}
+    with pytest.raises(CatalogError, match="'mean-x'"):
+        C._build_chain(_mean_record(counterpart), chains)
+
+
+def test_counterpart_domain_must_cover_only_its_substitution_range():
+    chains = {**C.load_catalog().chains, "short": _SHORT}
+    refs = [["short", 0], ["short", 1], ["short", 2]]
+    chain = C._build_chain(_mean_record(refs, "arctan"), chains)
+    assert chain.counterpart == (("short", 0), ("short", 1), ("short", 2))
+    with pytest.raises(CatalogError, match="arcsin"):
+        C._build_chain(_mean_record(refs, "arcsin"), chains)
 
 
 def test_build_probe_needs_a_kernel_chain():

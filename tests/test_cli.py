@@ -37,6 +37,16 @@ def test_list_single_section(capsys):
     assert "chains:" not in out and "kernels:" not in out
 
 
+def test_list_prints_each_mean_chains_counterpart(capsys):
+    code, out, err = run(capsys, "list", "--chains")
+    assert code == 0
+    rows = {line.split()[0]: line for line in out.splitlines()[1:]}
+    assert rows["M1c-i1"].endswith("scale A, counterpart M1c[0,3,4,5,7]")
+    assert rows["M2c3-i"].endswith("scale A, counterpart M23c[3] M2c3[0,1,2]")
+    assert rows["M2c2-i"].endswith("scale A**2, counterpart M2c2[0,1,2,3,4,5,6]")
+    assert "counterpart" not in rows["M1c"]
+
+
 # --- verify ---------------------------------------------------------------------
 
 def test_verify_good_chain_exits_zero(capsys):

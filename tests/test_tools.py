@@ -29,3 +29,24 @@ def test_report_digest_prints_every_family():
     lines = [line.split() for line in proc.stdout.splitlines()]
     assert [(name, int(count)) for name, count, _ in lines] == DIGEST_FAMILIES
     assert all(re.fullmatch(r"[0-9a-f]{64}", digest) for _, _, digest in lines)
+
+
+def test_report_digest_compares_a_tree_with_itself():
+    proc = subprocess.run(
+        [sys.executable, "tools/report_digest.py", "src", "src"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert [line.split() for line in proc.stdout.splitlines()] == [
+        [name, "same"] for name, _ in DIGEST_FAMILIES
+    ]
+
+
+def test_report_digest_names_leaves_by_json_path():
+    sys.path.insert(0, str(ROOT / "tools"))
+    try:
+        import report_digest
+    finally:
+        sys.path.remove(str(ROOT / "tools"))
+    leaves = report_digest._leaves([{"links": [{"min_margin": 0.5}], "note": None}])
+    assert leaves == {"$[0].links[0].min_margin": "0.5", "$[0].note": "null"}

@@ -55,11 +55,21 @@ def test_config_defaults():
         {"samples": True},
         {"ratio_samples": 100.0},
         {"ratio_samples": np.int64(100)},
+        {"ratio_max": 1 + 1e-14, "ratio_samples": 100},
+        {"ratio_max": 1.0000000000000002, "ratio_samples": 2},
     ],
 )
 def test_config_validation(kwargs):
     with pytest.raises(DomainError):
         VerificationConfig(**kwargs)
+
+
+def test_config_rejects_a_first_ratio_of_one_by_name():
+    # 1 + (ratio_max - 1)/ratio_samples rounding to 1 would put the twins at t = 0
+    with pytest.raises(DomainError, match="ratio_max.*ratio_samples"):
+        VerificationConfig(ratio_max=1 + 1e-14)
+    cfg = VerificationConfig(ratio_max=1 + 1e-13)
+    assert V.verify_chain("M1c-i1", cfg).twin_ok is True
 
 
 # --- kernel chains -------------------------------------------------------------------
@@ -165,6 +175,31 @@ def test_mean_chains_verify_with_consistent_twins(cat, cid):
     d = report.to_dict()
     assert d["twin_ok"] is True
     assert d["twin_tolerance_rel"] == 1e-10
+
+
+def test_wrong_counterpart_member_makes_the_twin_check_fail(cat):
+    # M1c-i1's last member (2A+G)/3 is M1c's (2+cos t)/3, member 7; member 6,
+    # cos(t/3)**3, follows member 5 too, so the chain loads, but its twin
+    # margins disagree with the mean margins.
+    chain = cat.get_chain("M1c-i1")
+    refs = [list(ref) for ref in chain.counterpart]
+    assert refs[-1] == ["M1c", 7]
+    record = {
+        "id": chain.id,
+        "kind": "mean",
+        "substitution": chain.substitution,
+        "scale": chain.scale,
+        "members": list(chain.members),
+        "counterpart": refs[:-1] + [["M1c", 6]],
+    }
+    wrong = C._build_chain(record, cat.chains)
+    assert wrong.twin_members[-1] == "cos(t/3)**3"
+    report = V.verify_chain(wrong)
+    assert all(link.verdict == "verified_numeric" for link in report.links)
+    assert report.twin_ok is False
+    assert report.twin_max_deviation > 0.1
+    assert report.verdict == "inconclusive"
+    assert report.note == "mean and kernel margins disagree beyond tolerance"
 
 
 def test_mean_chain_witness_carries_the_pair(cat):

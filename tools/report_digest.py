@@ -1,11 +1,15 @@
-"""Print one sha256 per family of verifier reports, to compare two source trees.
+"""Print one sha256 per family of verifier reports, or compare two source trees.
 
 Usage: python3 tools/report_digest.py SRC_DIR
+       python3 tools/report_digest.py SRC_A SRC_B
 
 SRC_DIR is the directory that holds the ``ineqforge`` package (``src`` in a
 checkout). Each family's reports are turned into JSON with every
 ``elapsed_s`` dropped and hashed, so two trees whose verdicts, witnesses,
-margins and configs agree bit for bit print the same lines. The families:
+margins and configs agree bit for bit print the same lines. Given two trees,
+the tool builds each tree's reports in its own subprocess and prints, per
+family, ``same`` or the number of JSON leaves that differ with the first
+20 of their paths and both values. The families:
 
 - suite: ``run_suite()`` at the defaults;
 - chains_probes: the packaged chains and probes at the defaults;
@@ -27,8 +31,12 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import multiprocessing
 import random
 import sys
+from concurrent.futures import ProcessPoolExecutor
+
+SHOWN_DIFFS = 20
 
 FIXED_EXPONENTS = (1.2, 2.0, 3.7, 1.0, 0.5, 0.013, -0.2, -1.0, -3.9)
 SEEDED_PER_REGIME = 20
@@ -110,18 +118,58 @@ def _monotone_flipped(kernels, verifier, kid, kernel) -> list:
     return reports
 
 
-def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print("usage: python3 tools/report_digest.py SRC_DIR", file=sys.stderr)
-        return 2
+def _family_texts(src: str) -> list[tuple[str, int, str]]:
+    """(family, report count, JSON text) for the tree at ``src``."""
     sys.dont_write_bytecode = True
-    sys.path.insert(0, argv[0])
+    sys.path.insert(0, src)
     from ineqforge import catalog, kernels, verifier
 
-    for name, reports in _families(catalog, kernels, verifier):
-        text = json.dumps(_drop_elapsed(reports))
+    return [
+        (name, len(reports), json.dumps(_drop_elapsed(reports)))
+        for name, reports in _families(catalog, kernels, verifier)
+    ]
+
+
+def _leaves(value, path: str = "$") -> dict[str, str]:
+    """Each scalar of a JSON value by its path, as JSON text."""
+    if isinstance(value, dict):
+        items = ((f"{path}.{k}", v) for k, v in value.items())
+    elif isinstance(value, list):
+        items = ((f"{path}[{i}]", v) for i, v in enumerate(value))
+    else:
+        return {path: json.dumps(value)}
+    return {p: leaf for sub_path, v in items for p, leaf in _leaves(v, sub_path).items()}
+
+
+def _compare(src_a: str, src_b: str) -> None:
+    # One process per tree, so each imports its own ineqforge.
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(2, mp_context=spawn, max_tasks_per_child=1) as pool:
+        texts_a, texts_b = pool.map(_family_texts, (src_a, src_b))
+    for (name, _, text_a), (_, _, text_b) in zip(texts_a, texts_b):
+        if text_a == text_b:
+            print(f"{name:<16} same")
+            continue
+        a = _leaves(json.loads(text_a))
+        b = _leaves(json.loads(text_b))
+        paths = [p for p in {**a, **b} if a.get(p) != b.get(p)]
+        print(f"{name:<16} {len(paths)} leaves differ")
+        for p in paths[:SHOWN_DIFFS]:
+            print(f"  {p}: {a.get(p, '(missing)')} -> {b.get(p, '(missing)')}")
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) not in (1, 2):
+        print(
+            "usage: python3 tools/report_digest.py SRC_DIR [SRC_DIR_B]", file=sys.stderr
+        )
+        return 2
+    if len(argv) == 2:
+        _compare(*argv)
+        return 0
+    for name, count, text in _family_texts(argv[0]):
         digest = hashlib.sha256(text.encode()).hexdigest()
-        print(f"{name:<16} {len(reports):>4} {digest}")
+        print(f"{name:<16} {count:>4} {digest}")
     return 0
 
 
