@@ -123,6 +123,8 @@ def compile_expression(expr: str, args: tuple[str, ...]) -> Callable:
     namespace are accepted; anything else raises CatalogError. The function's
     ``names`` attribute is the frozenset of names the expression reads.
     """
+    if not isinstance(expr, str):
+        raise CatalogError(f"expression must be a string, got {expr!r}")
     env = _shared_env()
     try:
         tree = ast.parse(expr, mode="eval")
@@ -198,6 +200,29 @@ class Probe:
     rhs_fn: Callable
 
 
+def _field(record: dict, key: str, where: str, expected: type = str):
+    """``record[key]``, which must be an ``expected``; a record without it, or
+    with a value of another type, is a CatalogError naming ``where`` and the key."""
+    if not isinstance(record, dict) or key not in record:
+        raise CatalogError(f"{where} has no {key!r}")
+    value = record[key]
+    if not isinstance(value, expected):
+        name = "a string" if expected is str else f"a {expected.__name__}"
+        raise CatalogError(f"{where} has {key!r} {value!r}; expected {name}")
+    return value
+
+
+def _expressions(record: dict, key: str, where: str, count: int | None = None) -> tuple[str, ...]:
+    """``record[key]`` as a list of expression strings, of ``count`` entries if given."""
+    values = _field(record, key, where, list)
+    if not all(isinstance(v, str) for v in values) or count not in (None, len(values)):
+        size = "" if count is None else f"{count} "
+        raise CatalogError(
+            f"{where} has {key!r} {values!r}; expected a list of {size}expression strings"
+        )
+    return tuple(values)
+
+
 def _counterpart(
     chain_id: str, refs: list, substitution: str, chains: Mapping[str, Chain]
 ) -> tuple[tuple[str, int], ...]:
@@ -244,28 +269,29 @@ def _build_chain(
 ) -> Chain:
     """Build one chain record; a mean chain's counterpart resolves against
     the kernel chains in ``chains``."""
-    chain_id = record["id"]
-    kind = record["kind"]
-    members = tuple(record["members"])
+    chain_id = _field(record, "id", "a chain record")
+    where = f"chain {chain_id!r}"
+    kind = _field(record, "kind", where)
+    members = _expressions(record, "members", where)
     if kind not in ("kernel", "mean"):
         raise CatalogError(f"chain {chain_id!r} has unknown kind {kind!r}")
     if len(members) < 2:
         raise CatalogError(f"chain {chain_id!r} needs at least two members")
     if kind == "kernel":
-        lo_s, hi_s = record["domain"]
+        lo_s, hi_s = _expressions(record, "domain", where, 2)
         lo = evaluate_constant_expression(lo_s, compile_fn)
         hi = evaluate_constant_expression(hi_s, compile_fn)
         if not lo < hi:
             raise CatalogError(f"chain {chain_id!r} has empty domain")
         fns = tuple(compile_fn(m, ("t",)) for m in members)
         return Chain(id=chain_id, kind=kind, members=members, member_fns=fns, domain=(lo, hi))
-    substitution = record["substitution"]
+    substitution = _field(record, "substitution", where)
     if substitution not in _T_RANGES:
         raise CatalogError(
             f"chain {chain_id!r} has unknown substitution {substitution!r}"
         )
-    scale = record["scale"]
-    refs = record["counterpart"]
+    scale = _field(record, "scale", where)
+    refs = _field(record, "counterpart", where, list)
     if len(refs) != len(members):
         raise CatalogError(
             f"chain {chain_id!r} has {len(refs)} counterpart references "
@@ -293,32 +319,33 @@ def _build_chain(
 def _build_probe(
     record: dict, chains: Mapping[str, Chain], compile_fn: Callable = compile_expression
 ) -> Probe:
-    probe_id = record["id"]
-    chain = chains.get(record["chain"])
-    direction = record["direction"]
-    region = record["region"]
+    probe_id = _field(record, "id", "a probe record")
+    where = f"probe {probe_id!r}"
+    chain_id, lhs, rhs, base, direction, region = (
+        _field(record, key, where) for key in ("chain", "lhs", "rhs", "base", "direction", "region")
+    )
+    chain = chains.get(chain_id)
     if chain is None:
-        raise CatalogError(f"probe {probe_id!r} references unknown chain {record['chain']!r}")
+        raise CatalogError(f"probe {probe_id!r} references unknown chain {chain_id!r}")
     if chain.kind != "kernel":
         raise CatalogError(f"probe {probe_id!r} references mean chain {chain.id!r}")
     if direction not in _DIRECTIONS:
         raise CatalogError(f"probe {probe_id!r} has unknown direction {direction!r}")
     if region not in _REGIONS:
         raise CatalogError(f"probe {probe_id!r} has unknown region {region!r}")
-    base = record["base"]
     base_value = evaluate_constant_expression(base, compile_fn)
     return Probe(
         id=probe_id,
         chain=chain.id,
         domain=chain.domain,
-        lhs=record["lhs"],
-        rhs=record["rhs"],
+        lhs=lhs,
+        rhs=rhs,
         base=base,
         base_value=base_value,
         direction=direction,
         region=region,
-        lhs_fn=compile_fn(record["lhs"], ("p", "t")),
-        rhs_fn=compile_fn(record["rhs"], ("p", "t")),
+        lhs_fn=compile_fn(lhs, ("p", "t")),
+        rhs_fn=compile_fn(rhs, ("p", "t")),
     )
 
 

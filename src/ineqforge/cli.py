@@ -39,6 +39,10 @@ def _read_config_file(path: str) -> dict:
             lines = handle.readlines()
     except OSError as exc:
         raise IneqForgeError(f"cannot read config file {path!r}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise IneqForgeError(
+            f"cannot read config file {path!r}: not UTF-8 (byte {exc.start})"
+        ) from exc
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

@@ -260,8 +260,8 @@ def ratio_u5_u4(t):
 
     Decreasing from 6/5 to 1. Both numerator and denominator are t^4-order
     sums of t^2-order pieces, so the direct form is hopeless at small t;
-    below 0.5 the rederived series (coefficient ratio = m6_coeff_ratio) is
-    used instead.
+    below 0.5 the rederived series (coefficient ratio =
+    series.m6_coeff_ratio_exact) is used instead.
     """
     _require((0.0 < t) & (t < _HALF_PI), "ratio_u5_u4: t must lie in (0, pi/2)", t)
     return _piecewise(t < 0.5, _ratio_u5_u4_series, _ratio_u5_u4_direct, t)

@@ -9,6 +9,8 @@ The four classical expansions handled here (t in radians):
 
 plus the coefficient-ratio sequences that drive the monotone-ratio lemmas
 and the composite series the kernel evaluators need for small arguments.
+The lemma laws (thresholds, ratio differences, c(n), the g1 coefficients)
+exist only as exact Fractions, so every sign they state is exact.
 
 Each coefficient is c_n = K(n)/(2n)! |B_2n| for a rational law K(n). With
 the tangent numbers T_n (tan t = sum T_n t^(2n-1)/(2n-1)!), |B_2n| is
@@ -73,11 +75,6 @@ def _tangent(n: int) -> int:
 def bernoulli_abs_exact(n: int) -> Fraction:
     """|B_{2n}| as an exact rational, 1 <= n <= N_MAX."""
     return Fraction(2 * n * _tangent(n), 4**n * (4**n - 1))
-
-
-def bernoulli_abs(n: int) -> float:
-    """|B_{2n}| exported as a double."""
-    return float(bernoulli_abs_exact(n))
 
 
 def _law_terms(law: str, n: int) -> tuple[int, int]:
@@ -150,80 +147,61 @@ def _lemma_terms(lemma: str, n: int) -> tuple[Fraction, Fraction]:
     return Fraction(q, 2 * n + 3), Fraction((2 * n + 3) * (4**n - 1), (2 * n + 1) * q)
 
 
-def ml1_threshold(n: int) -> float:
+def _lemma_diff(lemma: str, p_squared: Fraction, n: int) -> Fraction:
+    prefactor, threshold = _lemma_terms(lemma, n)
+    if not 0 < p_squared <= 1:
+        raise DomainError(f"{lemma}: p^2 must lie in (0, 1], got {p_squared!r}")
+    return prefactor * p_squared**n * (p_squared - threshold)
+
+
+def ml1_threshold(n: int) -> Fraction:
     """(n+1)/n * (4^n - 1)/(4^(n+1) - 1); maximum 2/5 at n = 1, limit 1/4."""
-    return float(_lemma_terms("ml1", n)[1])
-
-
-def ml1_ratio_diff(p: float, n: int) -> float:
-    """Consecutive difference of the ln-cos-to-numerator coefficient ratios.
-
-    Closed form (4^(n+1)-1)/(2n+2) * p^(2n) * (p^2 - ml1_threshold(n)).
-    Nonpositive for every n when p^2 <= 1/4, nonnegative when p^2 >= 2/5;
-    those two signs are exactly what makes the ratio kernel monotone on the
-    two parameter ranges.
-    """
-    if not 0.0 < p <= 1.0:
-        raise DomainError("ml1_ratio_diff: p must lie in (0, 1]")
-    prefactor, threshold = _lemma_terms("ml1", n)
-    return float(prefactor) * p ** (2 * n) * (p * p - float(threshold))
+    return _lemma_terms("ml1", n)[1]
 
 
 def ml1_ratio_diff_exact(p_squared: Fraction, n: int) -> Fraction:
-    """Exact-signed variant of ml1_ratio_diff taking p^2 as a rational."""
-    prefactor, threshold = _lemma_terms("ml1", n)
-    return prefactor * p_squared**n * (p_squared - threshold)
+    """Consecutive difference of the ln-cos-to-numerator coefficient ratios.
 
-
-def ml2_threshold(n: int) -> float:
-    """(2n+3)/(2n+1) * (4^n - 1)/(4^(n+1) - 1); maximum 1/3 at n = 1 and 2."""
-    return float(_lemma_terms("ml2", n)[1])
-
-
-def ml2_ratio_diff(p: float, n: int) -> float:
-    """Same construction as ml1_ratio_diff for the log-sinc-augmented kernel.
-
-    Nonpositive for p^2 <= 1/4, nonnegative for p^2 >= 1/3.
+    Closed form (4^(n+1)-1)/(2n+2) * p^(2n) * (p^2 - ml1_threshold(n)), with
+    p^2 in (0, 1] as a rational. Nonpositive for every n when p^2 <= 1/4,
+    nonnegative when p^2 >= 2/5; those two signs are exactly what makes the
+    ratio kernel monotone on the two parameter ranges.
     """
-    if not 0.0 < p <= 1.0:
-        raise DomainError("ml2_ratio_diff: p must lie in (0, 1]")
-    prefactor, threshold = _lemma_terms("ml2", n)
-    return float(prefactor) * p ** (2 * n) * (p * p - float(threshold))
+    return _lemma_diff("ml1", p_squared, n)
+
+
+def ml2_threshold(n: int) -> Fraction:
+    """(2n+3)/(2n+1) * (4^n - 1)/(4^(n+1) - 1); maximum 1/3 at n = 1 and 2."""
+    return _lemma_terms("ml2", n)[1]
 
 
 def ml2_ratio_diff_exact(p_squared: Fraction, n: int) -> Fraction:
-    prefactor, threshold = _lemma_terms("ml2", n)
-    return prefactor * p_squared**n * (p_squared - threshold)
-
-
-def m6_coeff_ratio(n: int) -> float:
-    """c(n) = (4^n - 4)/(4^n - 2n - 2) for n >= 2; c(2) = 6/5, decreasing to 1."""
-    return float(m6_coeff_ratio_exact(n))
+    """Same construction as ml1_ratio_diff_exact for the log-sinc-augmented
+    kernel: nonpositive for p^2 <= 1/4, nonnegative for p^2 >= 1/3."""
+    return _lemma_diff("ml2", p_squared, n)
 
 
 def m6_coeff_ratio_exact(n: int) -> Fraction:
-    """Exact c(n); doubles flatten the tail to 1.0 near n = 30, rationals don't."""
+    """c(n) = (4^n - 4)/(4^n - 2n - 2) for n >= 2; c(2) = 6/5, decreasing to 1
+    (a double would flatten the tail to 1.0 near n = 30)."""
     if not isinstance(n, int) or n < 2:
-        raise DomainError("m6_coeff_ratio: n must be an integer >= 2 (numerator vanishes at n = 1)")
+        raise DomainError("c(n): n must be an integer >= 2 (numerator vanishes at n = 1)")
     return Fraction(4**n - 4, 4**n - 2 * n - 2)
 
 
-def m5_g1_coefficients(n: int) -> float:
+def m5_g1_coefficients(n: int) -> Fraction:
     """Displayed coefficient (4^(n-1) - n)/(2n)! * |B_2n|; zero only at n = 1."""
-    num, den = _law_terms("g1", n)
-    return num / den
+    return Fraction(*_law_terms("g1", n))
 
 
-def m5_g1_taylor_coefficient(n: int) -> float:
+def m5_g1_taylor_coefficient(n: int) -> Fraction:
     """Actual Taylor coefficient of t^(2n) in -t^2(1+cos t)/sin^2 t + t/sin t + 1.
 
     Equals 4 * m5_g1_coefficients(n), i.e. (4^n - 4n)/(2n)! * |B_2n|; the
     source display dropped the factor 4 when combining the csc/csc2/cot
-    pieces. Verified by Taylor matching (see tests). Sign behaviour is
-    identical either way.
+    pieces (verified by Taylor matching in the tests). The signs agree.
     """
-    num, den = _law_terms("g1_taylor", n)
-    return num / den
+    return Fraction(*_law_terms("g1_taylor", n))
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +235,6 @@ def u4_coefficients() -> tuple[float, ...]:
     """2 t cot t - t^2/sin^2 t + t tan t - 1 = sum_{n>=2} c_n t^(2n).
 
     c_n = 4^n (4^n - 2n - 2)/(2n)! |B_2n|, n >= 2; u5/u4 coefficient ratio
-    is exactly m6_coeff_ratio(n).
+    is exactly m6_coeff_ratio_exact(n).
     """
     return _coeff_table("u4", 2)

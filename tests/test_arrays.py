@@ -12,7 +12,6 @@ import math
 import re
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +26,6 @@ from ineqforge import verifier as V
 from ineqforge.cli import main
 from ineqforge.errors import DomainError
 
-SRC = Path(__file__).resolve().parents[1] / "src"
 SMALL = V.VerificationConfig(samples=801)
 TIE_REL = 1e-13
 
@@ -369,7 +367,7 @@ def test_failing_mean_chain_evaluation_names_the_chain_and_expression(
         V.verify_chain(chain, SMALL)
 
 
-def test_import_and_catalog_load_leave_numpy_out():
+def test_import_and_catalog_load_leave_numpy_out(child_env):
     code = (
         "import sys, ineqforge\n"
         "ineqforge.load_catalog()\n"
@@ -377,7 +375,7 @@ def test_import_and_catalog_load_leave_numpy_out():
     )
     out = subprocess.run(
         [sys.executable, "-c", code],
-        env={"PYTHONPATH": str(SRC)},
+        env=child_env,
         capture_output=True, text=True, timeout=60, check=True,
     )
     assert out.stdout.strip() == "False"

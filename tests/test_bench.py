@@ -26,12 +26,12 @@ ROOT = Path(__file__).resolve().parents[1]
         ("traced", "m6_sweep"),
     ],
 )
-def test_benchmark_round_runs_without_failures(tmp_path, mode, workload):
+def test_benchmark_round_runs_without_failures(tmp_path, child_env, mode, workload):
     argv = [sys.executable, "bench/worker.py", mode, workload, "1", "0"]
     if mode == "traced":
         argv.append(str(tmp_path / "spans.json"))
     proc = subprocess.run(
-        argv, cwd=ROOT, env={"PYTHONPATH": "src"}, capture_output=True, text=True, timeout=120
+        argv, cwd=ROOT, env=child_env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])

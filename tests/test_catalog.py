@@ -427,3 +427,68 @@ def test_build_probe_needs_a_kernel_chain():
     for chain_id in ("M1c-i1", "no-such-chain"):
         with pytest.raises(CatalogError, match=chain_id):
             C._build_probe({**record, "chain": chain_id}, cat.chains)
+
+
+
+# One well-formed record of each kind, as (what it is, the record).
+_RECORDS = {
+    "kernel": ("chain", {"id": "x", "kind": "kernel", "domain": ["0", "pi/2"],
+                         "members": ["cos(t)", "sinc(t)"]}),
+    "mean": ("chain", _mean_record([["M1c", 0], ["M1c", 3], ["M1c", 4]])),
+    "probe": ("probe", {"id": "x", "chain": "M1", "lhs": "cos(p*t)", "rhs": "exp_tcot(t)",
+                        "base": "2/3", "direction": "-", "region": "near_zero"}),
+}
+
+
+def _build(what, record):
+    chains = C.load_catalog().chains
+    return C._build_probe(record, chains) if what == "probe" else C._build_chain(record, chains)
+
+
+@pytest.mark.parametrize(
+    "kind, key", [(kind, key) for kind, (_, record) in _RECORDS.items() for key in record]
+)
+def test_record_without_a_key_names_the_record_and_the_key(kind, key):
+    what, record = _RECORDS[kind]
+    _build(what, record)  # the full record builds
+    where = f"a {what} record" if key == "id" else f"{what} '{record['id']}'"
+    with pytest.raises(CatalogError, match=f"^{where} has no '{key}'$"):
+        _build(what, {k: v for k, v in record.items() if k != key})
+
+
+@pytest.mark.parametrize(
+    "kind, key, value",
+    [
+        ("kernel", "domain", ["0", "1", "2"]),
+        ("kernel", "domain", ["0"]),
+        ("kernel", "domain", "0, 1"),
+        ("kernel", "members", ["cos(t)", 1]),
+        ("kernel", "members", "cos(t)"),
+        ("kernel", "kind", ["kernel"]),
+        ("mean", "members", ["G", None, "A"]),
+        ("mean", "scale", 1),
+        ("mean", "substitution", ["arcsin"]),
+        ("mean", "counterpart", "M1c"),
+        ("probe", "chain", ["M1"]),
+        ("probe", "lhs", 1),
+        ("probe", "base", 0.5),
+    ],
+)
+def test_record_with_a_mistyped_key_names_the_record_and_the_key(kind, key, value):
+    what, record = _RECORDS[kind]
+    with pytest.raises(CatalogError, match=f"^{what} '{record['id']}' has '{key}' "):
+        _build(what, {**record, key: value})
+
+
+@pytest.mark.parametrize("record", [None, [], ["id", "x"]])
+def test_a_record_that_is_not_an_object_is_a_catalog_error(record):
+    with pytest.raises(CatalogError, match="^a chain record has no 'id'$"):
+        _build("chain", record)
+    with pytest.raises(CatalogError, match="^a probe record has no 'id'$"):
+        _build("probe", record)
+
+
+@pytest.mark.parametrize("expr", [1, 0.5, None, ["t"]])
+def test_compile_rejects_a_non_string(expr):
+    with pytest.raises(CatalogError, match="expression must be a string"):
+        C.compile_expression(expr, ("t",))

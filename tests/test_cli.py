@@ -5,14 +5,12 @@ import io
 import json
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 from ineqforge import cli
 
 FAST = ["--samples", "801"]
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -280,12 +278,12 @@ def test_table_failure_leaves_no_partial_file(capsys, tmp_path):
     assert not target.exists()
 
 
-def test_pipe_closed_early_exits_one_without_a_traceback():
+def test_pipe_closed_early_exits_one_without_a_traceback(child_env):
     # 200000 rows overfill any pipe buffer, so the writer is still writing
     # when the reader goes away after the first line
     with subprocess.Popen(
         [sys.executable, "-m", "ineqforge.cli", "table", "sinc", "--count", "200000"],
-        env={"PYTHONPATH": str(SRC)},
+        env=child_env,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
     ) as proc:
@@ -353,6 +351,15 @@ def test_config_file_errors(capsys, tmp_path):
     assert code == 2 and "cannot parse value" in err
 
 
+def test_config_file_that_is_not_utf8_is_an_error(capsys, tmp_path):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, "verify", "M1", "--config", str(bad))
+    assert code == 2
+    assert err == f"error: cannot read config file {str(bad)!r}: not UTF-8 (byte 0)\n"
+    assert out == ""
+
+
 def test_invalid_config_value_is_a_clean_error(capsys):
     code, out, err = run(capsys, "verify", "M1", "--samples", "2")
     assert code == 2
@@ -360,7 +367,7 @@ def test_invalid_config_value_is_a_clean_error(capsys):
 
 
 @pytest.mark.parametrize("config", [None, "refine_depth = 20\n"])
-def test_refine_depth_is_gone_from_flags_and_config_files(tmp_path, config):
+def test_refine_depth_is_gone_from_flags_and_config_files(tmp_path, child_env, config):
     argv = ["verify", "M1"]
     if config is None:
         argv += ["--refine-depth", "20"]
@@ -370,7 +377,7 @@ def test_refine_depth_is_gone_from_flags_and_config_files(tmp_path, config):
         argv += ["--config", str(path)]
     proc = subprocess.run(
         [sys.executable, "-m", "ineqforge.cli", *argv],
-        env={"PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=60,
+        env=child_env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 2
     assert "refine" in proc.stderr and "Traceback" not in proc.stderr

@@ -9,7 +9,6 @@ import math
 import random
 import subprocess
 import sys
-from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -199,7 +198,7 @@ def test_domain_errors():
         M.substitution_arctan((2.0, 2.0))
 
 
-def test_large_pair_bundle_returns_promptly():
+def test_large_pair_bundle_returns_promptly(child_env):
     # x + y overflows here; the old u = (x-y)/(x+y) became 0 and the atanh
     # series never ended. A subprocess keeps a regression from hanging the run.
     code = (
@@ -208,9 +207,8 @@ def test_large_pair_bundle_returns_promptly():
         "b = mean_bundle(1.7e308, 1.6e308)\n"
         "print(all(math.isfinite(b[k]) for k in 'AGLIPTX'), b['A'])\n"
     )
-    src = Path(__file__).resolve().parents[1] / "src"
     out = subprocess.run(
-        [sys.executable, "-c", code], env={"PYTHONPATH": str(src)},
+        [sys.executable, "-c", code], env=child_env,
         capture_output=True, text=True, timeout=60, check=True,
     )
     finite, a = out.stdout.split()

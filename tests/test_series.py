@@ -12,11 +12,11 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import mpmath as mp
 import pytest
 
+from ineqforge import kernels as K
 from ineqforge import series as S
 from ineqforge.errors import DomainError, PrecisionError
 
@@ -34,14 +34,14 @@ RADIUS = {"csc": math.pi, "cot": math.pi, "tan": math.pi / 2, "csc2": math.pi}
 # --- Bernoulli table ---------------------------------------------------------
 
 @functools.cache
-def mp_bernoulli_abs(n: int) -> Fraction:
+def mp_abs_bernoulli(n: int) -> Fraction:
     num, den = mp.bernfrac(2 * n)
     return abs(Fraction(int(num), int(den)))
 
 
 def test_bernoulli_matches_mpmath_exactly():
     for n in range(1, S.N_MAX + 1):
-        assert S.bernoulli_abs_exact(n) == mp_bernoulli_abs(n), f"n={n}"
+        assert S.bernoulli_abs_exact(n) == mp_abs_bernoulli(n), f"n={n}"
 
 
 def test_tangent_number_spot_values():
@@ -51,7 +51,6 @@ def test_tangent_number_spot_values():
 def test_bernoulli_top_of_table():
     num, den = mp.bernfrac(240)
     assert S.bernoulli_abs_exact(120) == abs(Fraction(int(num), int(den)))
-    assert S.bernoulli_abs(120) == float(abs(Fraction(int(num), int(den))))
 
 
 def test_bernoulli_small_values():
@@ -98,7 +97,7 @@ TABLE_LAWS = {
 
 
 def printed_law(law, n: int) -> Fraction:
-    return law(n) / Fraction(math.factorial(2 * n)) * mp_bernoulli_abs(n)
+    return law(n) / Fraction(math.factorial(2 * n)) * mp_abs_bernoulli(n)
 
 
 @pytest.mark.parametrize("name", TABLE_LAWS)
@@ -118,12 +117,14 @@ def test_exact_coefficients_follow_the_printed_law(sid):
 
 
 def test_g1_coefficients_round_their_exact_law_once():
+    # the g1 coefficients are the exact law itself, with no rounding
     for n in range(1, S.N_MAX + 1):
-        assert S.m5_g1_coefficients(n) == float(printed_law(lambda k: 4 ** (k - 1) - k, n))
-        assert S.m5_g1_taylor_coefficient(n) == float(printed_law(lambda k: 4**k - 4 * k, n))
+        assert S.m5_g1_coefficients(n) == printed_law(lambda k: 4 ** (k - 1) - k, n)
+        assert S.m5_g1_taylor_coefficient(n) == printed_law(lambda k: 4**k - 4 * k, n)
+        assert type(S.m5_g1_coefficients(n)) is type(S.m5_g1_taylor_coefficient(n)) is Fraction
 
 
-def test_import_and_catalog_load_build_no_series_table():
+def test_import_and_catalog_load_build_no_series_table(child_env):
     # the tables are built on first use, so their cost cannot move into
     # import or catalog set-up unseen
     code = (
@@ -133,9 +134,8 @@ def test_import_and_catalog_load_build_no_series_table():
         "print(series._tangent_numbers.cache_info().currsize,"
         " series._coeff_table.cache_info().currsize)\n"
     )
-    src = Path(__file__).resolve().parents[1] / "src"
     out = subprocess.run(
-        [sys.executable, "-c", code], env={"PYTHONPATH": str(src)},
+        [sys.executable, "-c", code], env=child_env,
         capture_output=True, text=True, timeout=60, check=True,
     )
     assert out.stdout.split() == ["0", "0"]
@@ -211,18 +211,20 @@ def test_series_rejects_bad_id():
 # --- ML1/ML2 ratio-difference laws --------------------------------------------
 
 def test_ml1_threshold_values():
-    assert S.ml1_threshold(1) == 0.4
+    assert S.ml1_threshold(1) == Fraction(2, 5)
     # maximum sits at n = 1, tail decreases toward 1/4
     values = [S.ml1_threshold(n) for n in range(1, 201)]
+    assert all(type(v) is Fraction for v in values)
     assert max(values) == values[0]
     assert all(a > b for a, b in zip(values, values[1:]))
-    assert values[-1] > 0.25
+    assert values[-1] > Fraction(1, 4)
 
 
 def test_ml2_threshold_values():
-    assert S.ml2_threshold(1) == pytest.approx(1.0 / 3.0, abs=0)
+    assert S.ml2_threshold(1) == Fraction(1, 3)
     assert S.ml2_threshold(2) == S.ml2_threshold(1)  # twin maximum
     values = [S.ml2_threshold(n) for n in range(2, 201)]
+    assert all(type(v) is Fraction for v in values)
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
@@ -247,27 +249,36 @@ def test_ml2_signs_exact_to_200():
 
 
 def test_ml_signs_with_the_actual_doubles():
-    # fl(sqrt(10)/5)^2 rounds to exactly 0.4; fl(1/sqrt(3))^2 lands one ulp
-    # above 1/3, which keeps it on the safe side of the threshold.
-    p_ml1 = math.sqrt(10.0) / 5.0
-    p_ml2 = 1.0 / math.sqrt(3.0)
-    assert p_ml1 * p_ml1 == 0.4
-    assert p_ml2 * p_ml2 > 1.0 / 3.0
-    for n in range(1, 201):
-        assert S.ml1_ratio_diff(0.5, n) <= 0
-        assert S.ml1_ratio_diff(p_ml1, n) >= 0
-        assert S.ml2_ratio_diff(0.5, n) <= 0
-        assert S.ml2_ratio_diff(p_ml2, n) >= 0
+    # Each ratio kernel's parameter is a double p, so its law is evaluated
+    # at the exact square of that double: fl(sqrt(10)/5)^2 lies 2.0e-17
+    # above 2/5 and fl(1/sqrt(3))^2 9.0e-17 above 1/3, on the threshold's
+    # safe side. The sign of every difference must match the direction the
+    # kernel registry declares: <= 0 for increasing, >= 0 for decreasing.
+    assert Fraction(K._SQRT10_5) ** 2 > Fraction(2, 5)
+    assert Fraction(K._INV_SQRT3) ** 2 > Fraction(1, 3)
+    cases = {
+        "Fp(p=0.5)": (S.ml1_ratio_diff_exact, 0.5),
+        "Fp(p=sqrt10/5)": (S.ml1_ratio_diff_exact, K._SQRT10_5),
+        "Gp(p=0.5)": (S.ml2_ratio_diff_exact, 0.5),
+        "Gp(p=1/sqrt3)": (S.ml2_ratio_diff_exact, K._INV_SQRT3),
+    }
+    for kid, (diff, p) in cases.items():
+        monotone = K.KERNELS[kid].monotone
+        assert monotone in ("increasing", "decreasing"), kid
+        for n in range(1, 201):
+            value = diff(Fraction(p) ** 2, n)
+            assert (value <= 0 if monotone == "increasing" else value >= 0), f"{kid} n={n}"
 
 
-@pytest.mark.parametrize("fn", [S.ml1_ratio_diff, S.ml2_ratio_diff])
-def test_ml_rejects_bad_arguments(fn):
-    with pytest.raises(DomainError):
-        fn(0.0, 1)
-    with pytest.raises(DomainError):
-        fn(1.5, 1)
-    with pytest.raises(DomainError):
-        fn(0.5, 0)
+@pytest.mark.parametrize("lemma", ["ml1", "ml2"], ids=lambda lemma: f"{lemma}_ratio_diff")
+def test_ml_rejects_bad_arguments(lemma):
+    fn = getattr(S, f"{lemma}_ratio_diff_exact")
+    with pytest.raises(DomainError, match=r"p\^2 must lie in \(0, 1\]"):
+        fn(Fraction(0), 1)
+    with pytest.raises(DomainError, match=r"p\^2 must lie in \(0, 1\]"):
+        fn(Fraction(9, 4), 1)
+    with pytest.raises(DomainError, match="n must be a positive integer"):
+        fn(Fraction(1, 4), 0)
 
 
 @pytest.mark.parametrize("fn", [S.ml1_ratio_diff_exact, S.ml2_ratio_diff_exact])
@@ -282,7 +293,7 @@ def test_ml_exact_rejects_bad_n(fn, n):
 def test_m6_ratio_spot_values():
     assert S.m6_coeff_ratio_exact(2) == Fraction(6, 5)
     assert S.m6_coeff_ratio_exact(3) == Fraction(60, 56)
-    assert S.m6_coeff_ratio(2) == 1.2
+    assert float(S.m6_coeff_ratio_exact(2)) == 1.2
     # tail distance from 1 is (2n - 2)/(4^n - 2n - 2)
     assert S.m6_coeff_ratio_exact(20) - 1 == Fraction(38, 4**20 - 42)
 
@@ -301,13 +312,13 @@ def test_m6_ratio_double_flattens_but_exact_does_not():
     # (4^n - 4)/(4^n - 2n - 2) differs from 1 by ~(2n - 2)/4^n; by n = 40
     # that is far below double resolution while the rational form still
     # carries it. This is why the strict-decrease check uses Fractions.
-    assert S.m6_coeff_ratio(40) == 1.0
+    assert float(S.m6_coeff_ratio_exact(40)) == 1.0
     assert S.m6_coeff_ratio_exact(40) > 1
 
 
 def test_m6_ratio_rejects_n_below_2():
     with pytest.raises(DomainError):
-        S.m6_coeff_ratio(1)
+        S.m6_coeff_ratio_exact(1)
     with pytest.raises(DomainError):
         S.m6_coeff_ratio_exact(0)
 
@@ -315,21 +326,21 @@ def test_m6_ratio_rejects_n_below_2():
 # --- g1 coefficients ----------------------------------------------------------
 
 def test_g1_displayed_spot_values():
-    assert S.m5_g1_coefficients(1) == 0.0
-    assert S.m5_g1_coefficients(2) == float(Fraction(1, 360))
-    assert S.m5_g1_coefficients(3) == float(Fraction(13, 30240))
+    assert S.m5_g1_coefficients(1) == 0
+    assert S.m5_g1_coefficients(2) == Fraction(1, 360)
+    assert S.m5_g1_coefficients(3) == Fraction(13, 30240)
 
 
 def test_g1_nonnegative_to_100():
     for n in range(1, 101):
-        assert S.m5_g1_coefficients(n) >= 0.0
-        assert S.m5_g1_taylor_coefficient(n) >= 0.0
+        assert S.m5_g1_coefficients(n) >= 0
+        assert S.m5_g1_taylor_coefficient(n) >= 0
 
 
 def test_g1_taylor_is_four_times_displayed():
-    # 4^n - 4n = 4 (4^(n-1) - n); scaling by 4 is exact in binary too.
-    for n in range(1, 61):
-        assert S.m5_g1_taylor_coefficient(n) == 4.0 * S.m5_g1_coefficients(n)
+    # 4^n - 4n = 4 (4^(n-1) - n)
+    for n in range(1, S.N_MAX + 1):
+        assert S.m5_g1_taylor_coefficient(n) == 4 * S.m5_g1_coefficients(n)
 
 
 def test_g1_taylor_coefficients_match_the_function():
