@@ -18,16 +18,18 @@ stops at its own first check after a term of at most 1e-17 of the sum. The
 terms never grow, so each term past that one is below half an ulp of the sum
 (at least 5.55e-17 of it) and adding it rounds back to the same double.
 
-A registry maps stable string ids (e.g. ``sinc``, ``Fp(p=0.5)``) to Kernel
-records carrying the open domain and the analytic endpoint limits. Endpoint
-limits are stored in closed form, never extrapolated.
+A read-only registry maps stable string ids (e.g. ``sinc``, ``Fp(p=0.5)``)
+to Kernel records carrying the open domain and the analytic endpoint limits.
+Endpoint limits are stored in closed form, never extrapolated. The checks
+also take a Kernel that is not registered.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 from . import series
 from .errors import DomainError
@@ -385,7 +387,7 @@ def _ratio_kernel(
     return Kernel(kernel_id, 0.0, _HALF_PI, ratio, limit_lo, limit_hi, monotone=monotone)
 
 
-def _build_registry() -> dict[str, Kernel]:
+def _build_registry() -> Mapping[str, Kernel]:
     ks = [
         Kernel("sinc", 0.0, _PI, sinc, 1.0, 0.0, monotone="decreasing"),
         Kernel("t_cot_minus1", 0.0, _PI, t_cot_minus1, 0.0, None, monotone="decreasing"),
@@ -433,10 +435,10 @@ def _build_registry() -> dict[str, Kernel]:
         if k.id in reg:
             raise DomainError(f"duplicate kernel id {k.id!r}")
         reg[k.id] = k
-    return reg
+    return MappingProxyType(reg)
 
 
-KERNELS: dict[str, Kernel] = _build_registry()
+KERNELS: Mapping[str, Kernel] = _build_registry()
 
 
 def get_kernel(kernel_id: str) -> Kernel:

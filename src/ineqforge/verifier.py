@@ -577,15 +577,16 @@ def probe_sharpness(probe: Probe | str, config: VerificationConfig | None = None
     )
 
 
-def verify_endpoint_limits(kernel_id: str) -> dict:
+def verify_endpoint_limits(kernel: kernels.Kernel | str) -> dict:
     """Check a kernel's stored endpoint limits by approaching them.
 
-    Offsets 1e-3, 1e-5, 1e-7 walk toward each finite endpoint; the absolute
-    errors must not increase. Kernels flagged asymptotic are instead sampled
-    at their registered probe points, where only the error decrease is
-    required (the approach can be slow).
+    Accepts a Kernel or a kernel id resolved against the registry. Offsets
+    1e-3, 1e-5, 1e-7 walk toward each finite endpoint; the absolute errors
+    must not increase. Kernels flagged asymptotic are instead sampled at
+    their probe points, where only the error decrease is required (the
+    approach can be slow).
     """
-    k = kernels.get_kernel(kernel_id)
+    k = kernels.get_kernel(kernel) if isinstance(kernel, str) else kernel
     sides: dict[str, dict] = {}
     ok = True
 
@@ -610,18 +611,20 @@ def verify_endpoint_limits(kernel_id: str) -> dict:
         side_ok = shrinking(errors, limit)
         sides[side] = {"limit": limit, key: approach, "errors": errors, "ok": side_ok}
         ok = ok and side_ok
-    return {"kernel": kernel_id, "sides": sides, "verdict": "ok" if ok else "failed"}
+    return {"kernel": k.id, "sides": sides, "verdict": "ok" if ok else "failed"}
 
 
-def verify_monotone(kernel_id: str, config: VerificationConfig | None = None) -> dict:
-    """Grid check that a registered kernel moves in its declared direction.
+def verify_monotone(kernel: kernels.Kernel | str, config: VerificationConfig | None = None) -> dict:
+    """Grid check that a kernel moves in its declared direction.
 
+    Accepts a Kernel or a kernel id resolved against the registry.
     Consecutive differences must never point the wrong way beyond the tie
     threshold, the net change must agree, and seeded central differences at
     random interior points must not contradict the claim. A wrong-way grid
     step is reported as the witness: the deepest one, which sits at worst_at.
     """
-    k = kernels.get_kernel(kernel_id)
+    k = kernels.get_kernel(kernel) if isinstance(kernel, str) else kernel
+    kernel_id = k.id
     direction = k.monotone
     if direction not in ("increasing", "decreasing"):
         raise DomainError(f"kernel {kernel_id!r} declares no monotone direction")
@@ -794,7 +797,7 @@ def run_suite(
     for kid, kernel in kernels.KERNELS.items():
         if kernel.monotone is None:
             continue
-        report = verify_monotone(kid, config=cfg)
+        report = verify_monotone(kernel, config=cfg)
         rows.append(
             SuiteRow(
                 f"monotone:{kid}",
@@ -806,7 +809,7 @@ def run_suite(
     for kid, kernel in kernels.KERNELS.items():
         if kernel.limit_lo is None and kernel.limit_hi is None:
             continue
-        report = verify_endpoint_limits(kid)
+        report = verify_endpoint_limits(kernel)
         parts = []
         for side, info in report["sides"].items():
             parts.append(f"{side} err {info['errors'][-1]:.3e}")

@@ -399,12 +399,11 @@ def _assert_plain(payload):
     assert "np." not in json.dumps(payload)
 
 
-def test_reports_hold_builtin_types_only(monkeypatch):
+def test_reports_hold_builtin_types_only():
     _assert_plain(V.run_suite(SMALL).to_dict())
     _assert_plain(V.verify_monotone("sinc", config=SMALL))
     wrong = dataclasses.replace(K.KERNELS["sinc"], monotone="increasing")
-    monkeypatch.setitem(K.KERNELS, "sinc", wrong)
-    _assert_plain(V.verify_monotone("sinc", config=SMALL))
+    _assert_plain(V.verify_monotone(wrong, config=SMALL))
     _assert_plain(V.probe_sharpness("M1-lower", SMALL).to_dict())
     flipped = C.flipped_catalog(C.load_catalog(), "M5-i", 0)
     _assert_plain(V.verify_chain(flipped.get_chain("M5-i"), SMALL).to_dict())

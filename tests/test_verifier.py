@@ -298,16 +298,11 @@ def test_monotone_declared_direction():
     assert report["spot_checks_ok"] is True
 
 
-def _declare(monkeypatch, kernel: K.Kernel) -> None:
-    monkeypatch.setitem(K.KERNELS, kernel.id, kernel)
-
-
-def test_monotone_wrong_direction_is_falsified(monkeypatch):
+def test_monotone_wrong_direction_is_falsified():
     # sinc is decreasing and sinhc increasing: each is declared the other way
     for kernel_id, wrong, sign in (("sinc", "increasing", 1.0), ("sinhc", "decreasing", -1.0)):
         kernel = K.KERNELS[kernel_id]
-        _declare(monkeypatch, dataclasses.replace(kernel, monotone=wrong))
-        report = V.verify_monotone(kernel_id, config=SMALL)
+        report = V.verify_monotone(dataclasses.replace(kernel, monotone=wrong), config=SMALL)
         assert report["direction"] == wrong
         assert report["verdict"] == "falsified"
         # the witness is the deepest wrong-way step of the linspace grid, in t
@@ -323,29 +318,26 @@ def test_monotone_wrong_direction_is_falsified(monkeypatch):
         assert report["worst_at"] == report["witness"]["t"]
 
 
-def test_monotone_non_finite_value_names_the_step(monkeypatch):
+def test_monotone_non_finite_value_names_the_step():
     # sinc is decreasing, so its steps are the links f(t_i+1) < f(t_i)
     def inf_from_2(t):
         return np.where(t < 2.0, K.sinc(t), np.inf)
 
-    _declare(monkeypatch, dataclasses.replace(K.KERNELS["sinc"], fn=inf_from_2))
+    kernel = dataclasses.replace(K.KERNELS["sinc"], fn=inf_from_2)
     with pytest.raises(DomainError, match=r"f\(t_i\+1\) < f\(t_i\): .* at t=1\.99"):
-        V.verify_monotone("sinc", config=SMALL)
+        V.verify_monotone(kernel, config=SMALL)
 
 
-def test_monotone_requires_a_direction(monkeypatch):
-    _declare(monkeypatch, dataclasses.replace(K.KERNELS["sinc"], monotone=None))
+def test_monotone_requires_a_direction():
+    kernel = dataclasses.replace(K.KERNELS["sinc"], monotone=None)
     with pytest.raises(DomainError, match="declares no monotone direction"):
-        V.verify_monotone("sinc", config=SMALL)
+        V.verify_monotone(kernel, config=SMALL)
 
 
-def test_monotone_constant_kernel_is_inconclusive(monkeypatch):
+def test_monotone_constant_kernel_is_inconclusive():
     # every step is an exact tie: no wrong-way step, and no evidence either
-    _declare(
-        monkeypatch,
-        K.Kernel("flat", 0.0, 1.0, lambda t: 0.0 * t + 1.0, 1.0, 1.0, monotone="increasing"),
-    )
-    report = V.verify_monotone("flat", config=SMALL)
+    flat = K.Kernel("flat", 0.0, 1.0, lambda t: 0.0 * t + 1.0, 1.0, 1.0, monotone="increasing")
+    report = V.verify_monotone(flat, config=SMALL)
     assert report["verdict"] == "inconclusive"
     assert report["net_change"] == 0.0
     assert "witness" not in report and report["spot_checks_ok"] is True
@@ -396,7 +388,7 @@ def test_repeated_verification_is_deterministic(cat):
 
 # --- report schemas ---------------------------------------------------------------------
 
-def test_report_key_sets_are_stable(cat, monkeypatch):
+def test_report_key_sets_are_stable(cat):
     config_keys = {
         "samples", "endpoint_eps", "ratio_max", "ratio_samples", "epsilon",
     }
@@ -436,8 +428,8 @@ def test_report_key_sets_are_stable(cat, monkeypatch):
         "spot_checks_ok",
     }
     assert set(V.verify_monotone("sinc", config=SMALL)) == monotone_keys
-    _declare(monkeypatch, dataclasses.replace(K.KERNELS["sinc"], monotone="increasing"))
-    wrong = V.verify_monotone("sinc", config=SMALL)
+    wrong_way = dataclasses.replace(K.KERNELS["sinc"], monotone="increasing")
+    wrong = V.verify_monotone(wrong_way, config=SMALL)
     assert set(wrong) == monotone_keys | {"witness", "spot_witness"}
     assert set(wrong["witness"]) == {"t", "t_next", "value", "value_next"}
     assert set(wrong["spot_witness"]) == {"t", "value_left", "value_right"}

@@ -21,9 +21,9 @@ family, ``same`` or the number of JSON leaves that differ with the first
   direction, with that direction flipped and as declared, at 2001 and 20001
   samples. The flipped runs reach the check's falsified path.
 
-Only public calls that take a Chain or Probe object are used, and the
-catalog is listed through its ``chains`` and ``probes`` mappings, so the tool
-runs against any tree with the current verifier API.
+Only public calls that take a Chain, Probe or Kernel object are used, and
+the catalog is listed through its ``chains`` and ``probes`` mappings, so the
+tool runs against any tree with the current verifier API.
 """
 
 from __future__ import annotations
@@ -74,8 +74,8 @@ def _families(catalog, kernels, verifier):
         + [verifier.probe_sharpness(p).to_dict() for p in probes]
     )
     yield "kernels", [
-        [verifier.verify_monotone(kid, config=cfg()), verifier.verify_endpoint_limits(kid)]
-        for kid in kernels.KERNELS
+        [verifier.verify_monotone(k, config=cfg()), verifier.verify_endpoint_limits(k)]
+        for k in kernels.KERNELS.values()
     ]
     exponents = list(FIXED_EXPONENTS) + _seeded_exponents()
     yield "m6", [verifier.theorem_m6_iff_suite([p]) for p in exponents]
@@ -96,25 +96,21 @@ def _families(catalog, kernels, verifier):
     ]
     yield "monotone_flipped", [
         report
-        for kid, kernel in kernels.KERNELS.items()
+        for kernel in kernels.KERNELS.values()
         if kernel.monotone is not None
-        for report in _monotone_flipped(kernels, verifier, kid, kernel)
+        for report in _monotone_flipped(verifier, kernel)
     ]
 
 
-def _monotone_flipped(kernels, verifier, kid, kernel) -> list:
-    """verify_monotone of one kernel flipped and as declared, at 2001 and
-    20001 samples; the registry entry is restored afterwards."""
+def _monotone_flipped(verifier, kernel) -> list:
+    """verify_monotone of one Kernel flipped and as declared, at 2001 and
+    20001 samples."""
     flip = {"increasing": "decreasing", "decreasing": "increasing"}[kernel.monotone]
     reports = []
     for samples in (2001, 20001):
         cfg = verifier.VerificationConfig(samples=samples)
-        kernels.KERNELS[kid] = dataclasses.replace(kernel, monotone=flip)
-        try:
-            reports.append(verifier.verify_monotone(kid, config=cfg))
-        finally:
-            kernels.KERNELS[kid] = kernel
-        reports.append(verifier.verify_monotone(kid, config=cfg))
+        reports.append(verifier.verify_monotone(dataclasses.replace(kernel, monotone=flip), cfg))
+        reports.append(verifier.verify_monotone(kernel, cfg))
     return reports
 
 
