@@ -106,6 +106,12 @@ def test_registry_frozen_limits():
     assert reg["Gp(p=1/sqrt3)"].limit_lo == pytest.approx(3.0, rel=1e-15)
 
 
+def test_registry_is_read_only():
+    with pytest.raises(TypeError):
+        K.KERNELS["sinc"] = K.KERNELS["sinhc"]
+    assert K.KERNELS["sinc"].fn is K.sinc
+
+
 def test_get_kernel_and_eval():
     k = K.get_kernel("sinc")
     assert k.fn(0.7) == K.sinc(0.7)

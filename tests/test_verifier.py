@@ -278,6 +278,14 @@ def test_endpoint_limits_all_registered_kernels():
         assert report["verdict"] == "ok", (kid, report)
 
 
+@pytest.mark.parametrize("kid", list(K.KERNELS))
+def test_kernel_checks_take_the_kernel_or_its_id(kid):
+    kernel = K.KERNELS[kid]
+    assert V.verify_endpoint_limits(kernel) == V.verify_endpoint_limits(kid)
+    if kernel.monotone is not None:
+        assert V.verify_monotone(kernel, SMALL) == V.verify_monotone(kid, SMALL)
+
+
 def test_endpoint_limit_errors_shrink_toward_the_limit():
     report = V.verify_endpoint_limits("h_ratio")
     errors = report["sides"]["hi"]["errors"]
