@@ -25,6 +25,10 @@ mean_bundle computes only the kinds it is asked for: L and I, the arcsine
 family P, X, J and the arctangent family T, B, K are each skipped unless one
 of their members is named, and no value depends on what else is asked for.
 So a mean chain computes only the means it reads.
+
+The angle t = arcsin or arctan of (x-y)/(x+y) has one formula, _angle: P
+and T divide by it, and substitution_angle, the two substitutions and the
+verifier's twin check take t from it, with no asin near pi/2.
 """
 
 from __future__ import annotations
@@ -133,20 +137,37 @@ def _log_ratio(x, y, edge):
 
 
 def _agq(x, y):
-    """A, G and Q of a valid pair, from halves and square roots so that no
-    finite pair overflows them. Halving a double of at least 2**-1021 is
-    exact, so there a quotient of halves keeps the bits of the plain one."""
+    """A, G, Q and u = (x-y)/(x+y) of a valid pair, from halves and square
+    roots so that no finite pair overflows them. Halving a double of at
+    least 2**-1021 is exact, so there a quotient of halves keeps the bits of
+    the plain one."""
     m = _xp(x, y)
     a = 0.5 * x + 0.5 * y
-    return a, m.sqrt(x) * m.sqrt(y), m.hypot(0.5 * x, 0.5 * y) / (0.5 * _SQRT2)
+    q = m.hypot(0.5 * x, 0.5 * y) / (0.5 * _SQRT2)
+    return a, m.sqrt(x) * m.sqrt(y), q, (0.5 * x - 0.5 * y) / a
+
+
+def _angle(substitution: str, a, g, u):
+    """arctan(u), or arcsin(u) for substitution "arcsin", from A, G and
+    u = (x-y)/(x+y). asin(u) is taken as atan2(u, G/A), as
+    sqrt(1 - u**2) = G/A: asin is ill-conditioned near |u| = 1, where u has
+    rounded away the digits of the ratio."""
+    m = _xp(u)
+    return m.atan2(u, g / a) if substitution == "arcsin" else m.atan(u)
+
+
+def substitution_angle(substitution: str, x, y):
+    """The t = arcsin((x-y)/(x+y)) or arctan((x-y)/(x+y)) of a positive pair
+    (floats or arrays) that P or T reads, for substitution "arcsin" or
+    "arctan"."""
+    a, g, _, u = _agq(*_validate_pair((x, y)))
+    return _angle(substitution, a, g, u)
 
 
 def _arcsin_means(a, g, u):
-    """P, X and J from A, G and u = (x-y)/(x+y). asin(u) is taken as
-    atan2(u, G/A), as sqrt(1 - u**2) = G/A: asin is ill-conditioned near
-    |u| = 1, where u has rounded away the digits of the ratio."""
+    """P, X and J from A, G and u = (x-y)/(x+y)."""
     m = _xp(u)
-    p = a * u / m.atan2(u, g / a)
+    p = a * u / _angle("arcsin", a, g, u)
     return p, a * m.exp(g / p - 1.0), a * m.exp((0.5 * a + 0.5 * g) / (0.5 * p) - 2.0)
 
 
@@ -160,7 +181,7 @@ def _arcsin_near_diagonal(a, g, u):
 def _arctan_means(a, q, u):
     """T, B and K from A, Q and u = (x-y)/(x+y)."""
     m = _xp(u)
-    t = a * u / m.atan(u)
+    t = a * u / _angle("arctan", a, None, u)
     return t, q * m.exp(a / t - 1.0), q * m.exp((0.5 * q + 0.5 * a) / (0.5 * t) - 2.0)
 
 
@@ -190,8 +211,7 @@ def _log_identric(x, y, a, g, u):
 def _bundle_values(x, y, kinds) -> list:
     """The means ``kinds`` of a valid pair, in that order, unclamped. A, G, Q
     and u are always formed; L with I and each arc family only on demand."""
-    a, g, q = _agq(x, y)
-    u = (0.5 * x - 0.5 * y) / a
+    a, g, q, u = _agq(x, y)
     values = {"A": a, "G": g, "Q": q}
     wanted = set(kinds)
     if not wanted.isdisjoint(("L", "I")):
@@ -308,14 +328,14 @@ def reduce_homogeneous(kind: str, pair, r: float | None = None) -> tuple[float, 
     return t, lhs, rhs
 
 
-def _substitution(pair, arc, norm: str, kinds: tuple[str, str, str, str]):
-    """t = arc((b-a)/(a+b)) and the residuals of sinc t, cos t, the exponential
-    cotangent kernel and its half-angle form against the means ``kinds`` over
-    the mean ``norm``."""
+def _substitution(pair, substitution: str, norm: str, kinds: tuple[str, str, str, str]):
+    """t = substitution_angle(substitution, b, a) and the residuals of sinc t,
+    cos t, the exponential cotangent kernel and its half-angle form against
+    the means ``kinds`` over the mean ``norm``."""
     a, b = _validate_pair(pair)
     if not b > a:
         raise DomainError(f"substitution requires b > a, got ({a!r}, {b!r})")
-    t = arc((b - a) / (a + b))
+    t = substitution_angle(substitution, b, a)
     m = mean_bundle(a, b, (norm, *kinds))
     forms = (kernels.sinc, math.cos, kernels.exp_tcot, kernels.exp_tcot_half)
     return t, tuple(abs(f(t) - m[kind] / m[norm]) for f, kind in zip(forms, kinds))
@@ -328,7 +348,7 @@ def substitution_arcsin(pair) -> tuple[float, tuple[float, float, float, float]]
     cotangent kernel with X/A, and its half-angle form with J/A. Each is an
     absolute difference of order-one quantities.
     """
-    return _substitution(pair, math.asin, "A", ("P", "G", "X", "J"))
+    return _substitution(pair, "arcsin", "A", ("P", "G", "X", "J"))
 
 
 def substitution_arctan(pair) -> tuple[float, tuple[float, float, float, float]]:
@@ -337,4 +357,4 @@ def substitution_arctan(pair) -> tuple[float, tuple[float, float, float, float]]
     Here sinc t pairs with T/Q, cos t with A/Q, the exponential cotangent
     kernel with B/Q, and its half-angle form with K/Q.
     """
-    return _substitution(pair, math.atan, "Q", ("T", "A", "B", "K"))
+    return _substitution(pair, "arctan", "Q", ("T", "A", "B", "K"))

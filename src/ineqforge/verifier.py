@@ -51,7 +51,7 @@ from .catalog import (
 )
 from .errors import DomainError
 from .kernels import _np
-from .means import mean_bundle
+from .means import mean_bundle, substitution_angle
 
 # Margins within _TIE_REL * max(1, |lhs|, |rhs|) of zero are ties: neither a
 # violation nor positive evidence. The scale floor keeps the threshold from
@@ -69,6 +69,9 @@ _BLOCK = 4096
 # Golden-section steps per refinement: the bracket of two grid steps shrinks
 # by 0.618**30, about 5e-7, to under 1e-10 of the domain at 20001 samples.
 _REFINE_STEPS = 30
+# A mean margin and its twins' margin agree within _TWIN_REL * max(1, |lhs
+# twin|, |rhs twin|), the scale of the tie threshold: the margin itself is a
+# cancelling difference of members as large as the ratio.
 _TWIN_REL = 1e-10
 _SPOT_REL = 1e-9
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -447,7 +450,6 @@ def _verify_mean_chain(
         _LinkScan(where, lhs, rhs, "ratio", ratios.item)
         for lhs, rhs in zip(chain.members, chain.members[1:])
     ]
-    sub = np.asin if chain.substitution == "arcsin" else np.atan
     twin_max = 0.0
     twin_ok = True
     for start in range(0, len(ratios), _BLOCK):
@@ -459,7 +461,7 @@ def _verify_mean_chain(
         values = [_on_block(where, name, fn, *vec) for name, fn in zip(chain.members, fns)]
         for scan, lhs_vals, rhs_vals in zip(scans, values, values[1:]):
             scan.add(lhs_vals, rhs_vals)
-        ts = sub((block - 1.0) / (block + 1.0))
+        ts = substitution_angle(chain.substitution, block, 1.0)
         scale = _on_block(where, chain.scale, chain.scale_fn, *vec)
         twins = [
             scale * _on_block(where, name, fn, ts)
@@ -469,7 +471,7 @@ def _verify_mean_chain(
             kern_margin = rhs_twin - lhs_twin
             deviation = np.abs(rhs_vals - lhs_vals - kern_margin)
             twin_max = max(twin_max, deviation.max().item())
-            tolerance = _TWIN_REL * np.maximum(np.abs(kern_margin), 1.0)
+            tolerance = _TWIN_REL * np.maximum(np.maximum(np.abs(lhs_twin), np.abs(rhs_twin)), 1.0)
             twin_ok = twin_ok and not (deviation > tolerance).any()
 
     links = []
@@ -491,8 +493,9 @@ def verify_chain(chain: Chain | str, config: VerificationConfig | None = None) -
 
     Accepts a Chain, such as one of another catalog, or a chain id resolved
     against the packaged catalog. Mean-form chains are additionally
-    cross-checked against their kernel twins: the margins must agree to
-    relative 1e-10 after scaling.
+    cross-checked against their kernel twins at the t that
+    means.substitution_angle gives: after scaling, the margins must agree
+    to 1e-10 of the larger twin, or absolute 1e-10 below 1.
     """
     cfg = config or VerificationConfig()
     if isinstance(chain, str):

@@ -165,6 +165,18 @@ def test_substitution_arctan_identities():
     assert max(abs(r) for r in residuals) < 1e-12
 
 
+@pytest.mark.parametrize("log_b", [k / 4 for k in range(4, 61)])
+def test_substitution_arcsin_holds_to_an_ulp_at_far_ratios(log_b):
+    # t is taken as P takes it, atan2(u, G/A); asin((b-a)/(a+b)) was
+    # 1e5 ulps off at b = 1e12, where u rounds near 1
+    b = 10.0 ** log_b
+    t, residuals = M.substitution_arcsin((1.0, b))
+    with mp.workdps(40):
+        want = mp.asin((mp.mpf(b) - 1) / (mp.mpf(b) + 1))
+        assert abs(mp.mpf(t) - want) <= math.ulp(t)
+    assert max(residuals) <= 2.0 * sys.float_info.epsilon  # 4.4e-16
+
+
 def test_substitution_random_pairs():
     rng = random.Random(424242)
     for _ in range(500):

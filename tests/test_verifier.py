@@ -202,6 +202,29 @@ def test_wrong_counterpart_member_makes_the_twin_check_fail(cat):
     assert report.note == "mean and kernel margins disagree beyond tolerance"
 
 
+@pytest.mark.parametrize("ratio_max", [1e8, 1e12])
+def test_mean_chain_twins_agree_at_far_ratios(cat, ratio_max):
+    # The twins' t is taken as P takes it, with no asin near pi/2, and the
+    # tolerance scales with the twins, not with their cancelling margin.
+    cfg = VerificationConfig(ratio_samples=20001, ratio_max=ratio_max)
+    for chain in cat.chains.values():
+        if chain.kind == "mean":
+            report = V.verify_chain(chain, cfg)
+            assert (report.verdict, report.twin_ok) == ("verified_numeric", True), chain.id
+
+
+@pytest.mark.parametrize("cid", ["M2c2-i", "M6a-i", "M1c-i2"])
+def test_a_member_scaled_by_1e_8_fails_the_twin_check(cat, cid):
+    chain = cat.get_chain(cid)
+    for i, fn in enumerate(chain.member_fns):
+        fns = list(chain.member_fns)
+        fns[i] = lambda *args, fn=fn: fn(*args) * (1.0 + 1e-8)
+        mutated = dataclasses.replace(chain, member_fns=tuple(fns))
+        for ratio_max in (100.0, 1e4, 1e8, 1e12):
+            cfg = VerificationConfig(ratio_samples=2001, ratio_max=ratio_max)
+            assert V.verify_chain(mutated, cfg).twin_ok is False, (i, ratio_max)
+
+
 def test_mean_chain_witness_carries_the_pair(cat):
     flipped = C.flipped_catalog(cat, "M5-i", 0)
     report = V.verify_chain(flipped.get_chain("M5-i"), SMALL)
