@@ -120,8 +120,10 @@ def compile_expression(expr: str, args: tuple[str, ...]) -> Callable:
     """Compile an expression string into a function of the given arguments.
 
     Only arithmetic, numeric literals, and names from the shared kernel/mean
-    namespace are accepted; anything else raises CatalogError. The function's
-    ``names`` attribute is the frozenset of names the expression reads.
+    namespace are accepted; anything else raises CatalogError, as does an
+    expression nested too deeply for Python's parser or compiler. The
+    function's ``names`` attribute is the frozenset of names the expression
+    reads.
     """
     if not isinstance(expr, str):
         raise CatalogError(f"expression must be a string, got {expr!r}")
@@ -130,10 +132,21 @@ def compile_expression(expr: str, args: tuple[str, ...]) -> Callable:
         tree = ast.parse(expr, mode="eval")
     except SyntaxError as exc:
         raise CatalogError(f"cannot parse expression {expr!r}: {exc.msg}") from exc
+    except (RecursionError, MemoryError) as exc:  # the parser's own stack limits
+        raise CatalogError(f"expression {expr!r} is nested too deeply to parse") from exc
     names = _prepare_tree(expr, tree, frozenset(env) | frozenset(args))
-    body = ast.unparse(tree)
-    source = "lambda {}: ({})".format(", ".join(args), body) if args else f"lambda: ({body})"
-    fn = eval(source, {"__builtins__": {}, **env})  # noqa: S307 - input is whitelisted
+    # The checked tree is compiled as the lambda's body, with no source text
+    # in between: unparsing a long sum recursed past the interpreter's limit.
+    loc = {"lineno": 1, "col_offset": 0, "end_lineno": 1, "end_col_offset": 0}
+    params = ast.arguments(
+        posonlyargs=[], args=[ast.arg(a, **loc) for a in args],
+        kwonlyargs=[], kw_defaults=[], defaults=[],
+    )
+    try:
+        code = compile(ast.Expression(ast.Lambda(params, tree.body, **loc)), "<expression>", "eval")
+    except (RecursionError, MemoryError) as exc:
+        raise CatalogError(f"expression {expr!r} is nested too deeply to compile") from exc
+    fn = eval(code, {"__builtins__": {}, **env})  # noqa: S307 - input is whitelisted
     fn.names = names
     return fn
 

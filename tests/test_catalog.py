@@ -116,6 +116,28 @@ def test_compile_exposes_solved_constants():
     assert fn(0.5) == math.cos(0.5) ** constant_p1()
 
 
+def test_compile_takes_a_long_sum_without_source_text():
+    # ast.unparse of a 600-term sum recursed past the interpreter's limit
+    fn = C.compile_expression("+".join(["t"] * 600), ("t",))
+    assert fn(1.0) == 600.0
+
+
+@pytest.mark.parametrize(
+    "expr, stage",
+    [
+        ("+".join(["t"] * 1000), "compile"),  # compiler recursion
+        ("+".join(["t"] * 20000), "parse"),  # parser recursion
+        ("-" * 5000 + "t", "parse"),  # parser recursion
+        ("**".join(["t"] * 3000), "parse"),  # parser stack overflow (MemoryError)
+    ],
+    ids=["sum-1000", "sum-20000", "neg-5000", "pow-3000"],
+)
+def test_a_too_deep_expression_is_a_catalog_error(expr, stage):
+    with pytest.raises(CatalogError, match=f"is nested too deeply to {stage}") as err:
+        C.compile_expression(expr, ("t",))
+    assert repr(expr) in str(err.value)
+
+
 @pytest.mark.parametrize(
     "expr",
     [
