@@ -257,9 +257,12 @@ def _power_sum(r: float, w: float, x, y):
 
 
 def weighted_power_mean(r: float, w: float, x, y):
-    """(w x^r + (1-w) y^r)^(1/r), with the geometric limit at r = 0."""
+    """(w x^r + (1-w) y^r)^(1/r), with the geometric limit at r = 0 and the
+    max and min limits at r = +inf and -inf."""
     if not (0.0 < w < 1.0):
         raise DomainError(f"weight must lie strictly in (0, 1), got {w!r}")
+    if math.isnan(r):
+        raise DomainError(f"the order r must be a number, got {r!r}")
     x, y = _validate_pair((x, y))
     if _all(x == y):
         return x

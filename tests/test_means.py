@@ -188,6 +188,21 @@ def test_substitution_random_pairs():
         assert max(abs(r) for r in res2) < 1e-12
 
 
+def test_power_mean_order_nan_is_a_domain_error_and_inf_gives_the_limits():
+    with pytest.raises(DomainError, match="order r must be a number, got nan"):
+        M.weighted_power_mean(math.nan, 0.5, 1.0, 2.0)
+    with pytest.raises(DomainError, match="order r must be a number, got nan"):
+        M.evaluate_mean("power", (1.0, 2.0), r=math.nan)
+    # M(+inf) = max and M(-inf) = min, for floats and arrays
+    assert M.weighted_power_mean(math.inf, 0.3, 5.0, 2.0) == 5.0
+    assert M.weighted_power_mean(-math.inf, 0.3, 5.0, 2.0) == 2.0
+    assert M.evaluate_mean("power", (1.0, 2.0), r=math.inf) == 2.0
+    assert M.evaluate_mean("power", (1.0, 2.0), r=-math.inf) == 1.0
+    xs, ys = np.array([1.0, 3.0]), np.array([2.0, 1.0])
+    assert M.weighted_power_mean(math.inf, 0.5, xs, ys).tolist() == [2.0, 3.0]
+    assert M.weighted_power_mean(-math.inf, 0.5, xs, ys).tolist() == [1.0, 1.0]
+
+
 def test_domain_errors():
     with pytest.raises(DomainError):
         M.mean_bundle(0.0, 1.0)
