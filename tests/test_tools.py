@@ -42,6 +42,29 @@ def test_report_digest_compares_a_tree_with_itself():
     ]
 
 
+def test_report_digest_names_a_tree_whose_reports_raise(tmp_path):
+    # The error's class lives in the tree's own package, which the parent
+    # process cannot import: the child sends it back as text.
+    package = tmp_path / "ineqforge"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "kernels.py").write_text("")
+    (package / "verifier.py").write_text("VerificationConfig = None\n")
+    (package / "catalog.py").write_text(
+        "class CatalogError(Exception):\n    pass\n\n\n"
+        "def load_catalog():\n    raise CatalogError('no catalog here')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "tools/report_digest.py", str(tmp_path), str(tmp_path)],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        f"error: tree {tmp_path}: CatalogError: no catalog here"
+    ] * 2
+
+
 def test_report_digest_names_leaves_by_json_path():
     sys.path.insert(0, str(ROOT / "tools"))
     try:

@@ -9,7 +9,8 @@ checkout). Each family's reports are turned into JSON with every
 margins and configs agree bit for bit print the same lines. Given two trees,
 the tool builds each tree's reports in its own subprocess and prints, per
 family, ``same`` or the number of JSON leaves that differ with the first
-20 of their paths and both values. The families:
+20 of their paths and both values. If building a tree's reports raises, the
+tool names the tree and the error and exits with code 2. The families:
 
 - suite: ``run_suite()`` at the defaults;
 - chains_probes: the packaged chains and probes at the defaults;
@@ -126,6 +127,15 @@ def _family_texts(src: str) -> list[tuple[str, int, str]]:
     ]
 
 
+def _texts_or_error(src: str) -> tuple[list | None, str | None]:
+    """_family_texts(src), or the text of the error it raised. An error class
+    of the tree's package could not be unpickled in the parent process."""
+    try:
+        return _family_texts(src), None
+    except Exception as exc:  # noqa: BLE001 - sent back as text
+        return None, f"{type(exc).__name__}: {exc}"
+
+
 def _leaves(value, path: str = "$") -> dict[str, str]:
     """Each scalar of a JSON value by its path, as JSON text."""
     if isinstance(value, dict):
@@ -137,11 +147,16 @@ def _leaves(value, path: str = "$") -> dict[str, str]:
     return {p: leaf for sub_path, v in items for p, leaf in _leaves(v, sub_path).items()}
 
 
-def _compare(src_a: str, src_b: str) -> None:
+def _compare(src_a: str, src_b: str) -> int:
     # One process per tree, so each imports its own ineqforge.
     spawn = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(2, mp_context=spawn, max_tasks_per_child=1) as pool:
-        texts_a, texts_b = pool.map(_family_texts, (src_a, src_b))
+        (texts_a, error_a), (texts_b, error_b) = pool.map(_texts_or_error, (src_a, src_b))
+    errors = [(src, error) for src, error in ((src_a, error_a), (src_b, error_b)) if error]
+    for src, error in errors:
+        print(f"error: tree {src}: {error}", file=sys.stderr)
+    if errors:
+        return 2
     for (name, _, text_a), (_, _, text_b) in zip(texts_a, texts_b):
         if text_a == text_b:
             print(f"{name:<16} same")
@@ -152,6 +167,7 @@ def _compare(src_a: str, src_b: str) -> None:
         print(f"{name:<16} {len(paths)} leaves differ")
         for p in paths[:SHOWN_DIFFS]:
             print(f"  {p}: {a.get(p, '(missing)')} -> {b.get(p, '(missing)')}")
+    return 0
 
 
 def main(argv: list[str]) -> int:
@@ -161,8 +177,7 @@ def main(argv: list[str]) -> int:
         )
         return 2
     if len(argv) == 2:
-        _compare(*argv)
-        return 0
+        return _compare(*argv)
     for name, count, text in _family_texts(argv[0]):
         digest = hashlib.sha256(text.encode()).hexdigest()
         print(f"{name:<16} {count:>4} {digest}")
