@@ -38,7 +38,6 @@ from .means import (
     evaluate_mean,
     mean_bundle,
     reduce_homogeneous,
-    substitution_angle,
     substitution_arcsin,
     substitution_arctan,
     weighted_power_mean,
@@ -92,7 +91,6 @@ __all__ = [
     "reduce_homogeneous",
     "run_suite",
     "solve_root",
-    "substitution_angle",
     "substitution_arcsin",
     "substitution_arctan",
     "theorem_m6_iff_suite",
