@@ -27,8 +27,8 @@ of their members is named, and no value depends on what else is asked for.
 So a mean chain computes only the means it reads.
 
 The angle t = arcsin or arctan of (x-y)/(x+y) has one formula, _angle: P
-and T divide by it, and substitution_angle, the two substitutions and the
-verifier's twin check take t from it, with no asin near pi/2.
+and T divide by it, and the two substitutions and the verifier's twin
+check take t from it (_pair_angle), with no asin near pi/2.
 """
 
 from __future__ import annotations
@@ -136,15 +136,14 @@ def _log_ratio(x, y, edge):
     return _where(edge, m.log(hi) - m.log(lo), m.log(hi / _where(edge, hi, lo)))
 
 
-def _agq(x, y):
-    """A, G, Q and u = (x-y)/(x+y) of a valid pair, from halves and square
-    roots so that no finite pair overflows them. Halving a double of at
-    least 2**-1021 is exact, so there a quotient of halves keeps the bits of
-    the plain one."""
+def _agu(x, y):
+    """A, G and u = (x-y)/(x+y) of a valid pair, from halves and square roots
+    so that no finite pair overflows them. Halving a double of at least
+    2**-1021 is exact, so there a quotient of halves keeps the bits of the
+    plain one."""
     m = _xp(x, y)
     a = 0.5 * x + 0.5 * y
-    q = m.hypot(0.5 * x, 0.5 * y) / (0.5 * _SQRT2)
-    return a, m.sqrt(x) * m.sqrt(y), q, (0.5 * x - 0.5 * y) / a
+    return a, m.sqrt(x) * m.sqrt(y), (0.5 * x - 0.5 * y) / a
 
 
 def _angle(substitution: str, a, g, u):
@@ -156,12 +155,11 @@ def _angle(substitution: str, a, g, u):
     return m.atan2(u, g / a) if substitution == "arcsin" else m.atan(u)
 
 
-def substitution_angle(substitution: str, x, y):
-    """The t = arcsin((x-y)/(x+y)) or arctan((x-y)/(x+y)) of a positive pair
-    (floats or arrays) that P or T reads, for substitution "arcsin" or
-    "arctan"."""
-    a, g, _, u = _agq(*_validate_pair((x, y)))
-    return _angle(substitution, a, g, u)
+def _pair_angle(substitution: str, x, y):
+    """t = arcsin or arctan of (x-y)/(x+y) for substitution "arcsin" or
+    "arctan", as P or T takes it, of a valid pair (floats or arrays). The
+    pair is not checked again: the twin check calls this on every block."""
+    return _angle(substitution, *_agu(x, y))
 
 
 def _arcsin_means(a, g, u):
@@ -211,7 +209,8 @@ def _log_identric(x, y, a, g, u):
 def _bundle_values(x, y, kinds) -> list:
     """The means ``kinds`` of a valid pair, in that order, unclamped. A, G, Q
     and u are always formed; L with I and each arc family only on demand."""
-    a, g, q, u = _agq(x, y)
+    a, g, u = _agu(x, y)
+    q = _xp(x, y).hypot(0.5 * x, 0.5 * y) / (0.5 * _SQRT2)  # halves: no overflow
     values = {"A": a, "G": g, "Q": q}
     wanted = set(kinds)
     if not wanted.isdisjoint(("L", "I")):
@@ -332,13 +331,13 @@ def reduce_homogeneous(kind: str, pair, r: float | None = None) -> tuple[float, 
 
 
 def _substitution(pair, substitution: str, norm: str, kinds: tuple[str, str, str, str]):
-    """t = substitution_angle(substitution, b, a) and the residuals of sinc t,
+    """t = _pair_angle(substitution, b, a) and the residuals of sinc t,
     cos t, the exponential cotangent kernel and its half-angle form against
     the means ``kinds`` over the mean ``norm``."""
     a, b = _validate_pair(pair)
     if not b > a:
         raise DomainError(f"substitution requires b > a, got ({a!r}, {b!r})")
-    t = substitution_angle(substitution, b, a)
+    t = _pair_angle(substitution, b, a)
     m = mean_bundle(a, b, (norm, *kinds))
     forms = (kernels.sinc, math.cos, kernels.exp_tcot, kernels.exp_tcot_half)
     return t, tuple(abs(f(t) - m[kind] / m[norm]) for f, kind in zip(forms, kinds))

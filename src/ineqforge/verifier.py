@@ -51,7 +51,7 @@ from .catalog import (
 )
 from .errors import DomainError
 from .kernels import _np
-from .means import mean_bundle, substitution_angle
+from .means import _pair_angle, mean_bundle
 
 # Margins within _TIE_REL * max(1, |lhs|, |rhs|) of zero are ties: neither a
 # violation nor positive evidence. The scale floor keeps the threshold from
@@ -461,7 +461,7 @@ def _verify_mean_chain(
         values = [_on_block(where, name, fn, *vec) for name, fn in zip(chain.members, fns)]
         for scan, lhs_vals, rhs_vals in zip(scans, values, values[1:]):
             scan.add(lhs_vals, rhs_vals)
-        ts = substitution_angle(chain.substitution, block, 1.0)
+        ts = _pair_angle(chain.substitution, block, 1.0)
         scale = _on_block(where, chain.scale, chain.scale_fn, *vec)
         twins = [
             scale * _on_block(where, name, fn, ts)
@@ -493,9 +493,9 @@ def verify_chain(chain: Chain | str, config: VerificationConfig | None = None) -
 
     Accepts a Chain, such as one of another catalog, or a chain id resolved
     against the packaged catalog. Mean-form chains are additionally
-    cross-checked against their kernel twins at the t that
-    means.substitution_angle gives: after scaling, the margins must agree
-    to 1e-10 of the larger twin, or absolute 1e-10 below 1.
+    cross-checked against their kernel twins at the t that P or T takes:
+    after scaling, the margins must agree to 1e-10 of the larger twin, or
+    absolute 1e-10 below 1.
     """
     cfg = config or VerificationConfig()
     if isinstance(chain, str):
