@@ -135,8 +135,8 @@ def compile_expression(expr: str, args: tuple[str, ...]) -> Callable:
     except (RecursionError, MemoryError) as exc:  # the parser's own stack limits
         raise CatalogError(f"expression {expr!r} is nested too deeply to parse") from exc
     names = _prepare_tree(expr, tree, frozenset(env) | frozenset(args))
-    # The checked tree is compiled as the lambda's body, with no source text
-    # in between: unparsing a long sum recursed past the interpreter's limit.
+    # The checked tree is compiled as the lambda's body itself: going through
+    # source text would need ast.unparse, which recurses once per level.
     loc = {"lineno": 1, "col_offset": 0, "end_lineno": 1, "end_col_offset": 0}
     params = ast.arguments(
         posonlyargs=[], args=[ast.arg(a, **loc) for a in args],

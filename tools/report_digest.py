@@ -10,7 +10,8 @@ margins and configs agree bit for bit print the same lines. Given two trees,
 the tool builds each tree's reports in its own subprocess and prints, per
 family, ``same`` or the number of JSON leaves that differ with the first
 20 of their paths and both values. If building a tree's reports raises, the
-tool names the tree and the error and exits with code 2. The families:
+tool names the tree and the error and exits with code 2; run it on that tree
+alone for the traceback. The families:
 
 - suite: ``run_suite()`` at the defaults;
 - chains_probes: the packaged chains and probes at the defaults;
