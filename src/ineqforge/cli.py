@@ -22,6 +22,7 @@ from .catalog import load_catalog
 from .errors import IneqForgeError
 from .verifier import (
     VerificationConfig,
+    _inset,
     probe_sharpness,
     run_suite,
     verify_chain,
@@ -134,7 +135,7 @@ def _cmd_list(args: argparse.Namespace) -> tuple[int, None]:
             if kernel.limit_lo is not None:
                 limits.append(f"lo={kernel.limit_lo:.6g}")
             if kernel.limit_hi is not None:
-                tag = "asymptote" if kernel.hi_asymptotic else "hi"
+                tag = "asymptote" if kernel.probe_points else "hi"
                 limits.append(f"{tag}={kernel.limit_hi:.6g}")
             extra = f", {kernel.monotone}" if kernel.monotone else ""
             print(
@@ -221,9 +222,9 @@ def _cmd_means(args: argparse.Namespace) -> tuple[int, dict]:
 
 def _cmd_table(args: argparse.Namespace) -> tuple[int, None]:
     kernel = kernels.get_kernel(args.kernel)
-    span = kernel.hi - kernel.lo
-    start = args.start if args.start is not None else kernel.lo + 1e-9 * span
-    stop = args.stop if args.stop is not None else kernel.hi - 1e-9 * span
+    lo, hi = _inset(kernel.lo, kernel.hi, VerificationConfig().endpoint_eps)
+    start = args.start if args.start is not None else lo
+    stop = args.stop if args.stop is not None else hi
     if not start < stop:
         raise IneqForgeError(f"empty range [{start!r}, {stop!r}]")
     if args.count < 2:

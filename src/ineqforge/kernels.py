@@ -346,10 +346,10 @@ def k_ratio(t):
 class Kernel:
     """A named kernel on an open interval with known endpoint limits.
 
-    limit_hi is None when the kernel diverges at the right end. When
-    hi_asymptotic is set the right "endpoint" is infinity: limit_hi is the
-    asymptotic value and probe_points are the t values along which the
-    approach is checked (monotone |error|), since hi - delta means nothing.
+    limit_hi is None when the kernel diverges at the right end. A kernel
+    with probe_points approaches limit_hi as t goes to infinity, and hi only
+    ends its grids: the approach is checked at the probe points (monotone
+    |error|), since hi - delta means nothing.
     """
 
     id: str
@@ -359,7 +359,6 @@ class Kernel:
     limit_lo: float | None
     limit_hi: float | None
     monotone: str | None = None
-    hi_asymptotic: bool = False
     probe_points: tuple[float, ...] = field(default=())
 
 
@@ -427,8 +426,7 @@ def _build_registry() -> Mapping[str, Kernel]:
         Kernel("coshpow(p=ln2)", 0.0, 50.0, lambda t: cosh_power(_LN2, t),
                1.0, None, monotone="increasing"),
         Kernel("k_ratio", 0.0, 50.0, k_ratio, 1.0, 2.0 / math.e,
-               monotone="decreasing", hi_asymptotic=True,
-               probe_points=(10.0, 25.0, 50.0)),
+               monotone="decreasing", probe_points=(10.0, 25.0, 50.0)),
     ]
     reg = {}
     for k in ks:

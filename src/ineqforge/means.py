@@ -263,13 +263,10 @@ def weighted_power_mean(r: float, w: float, x, y):
     if math.isnan(r):
         raise DomainError(f"the order r must be a number, got {r!r}")
     x, y = _validate_pair((x, y))
-    if _all(x == y):
-        return x
     m = _xp(x, y)
-    if r == 0.0:
-        value = m.exp(w * m.log(x) + (1.0 - w) * m.log(y))
-    elif abs(r) < 1e-8:
-        # second-order expansion in r around the geometric limit
+    if abs(r) < 1e-8:
+        # second-order expansion in r around the geometric limit; at r = 0
+        # its correction is 0 and this is the weighted geometric mean
         lx = m.log(x)
         ly = m.log(y)
         mu = w * lx + (1.0 - w) * ly

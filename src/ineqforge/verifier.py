@@ -278,9 +278,7 @@ class _LinkScan:
 
     Every tie threshold is at least _TIE_REL, so a block whose lowest margin
     is at least -(1 - _FLOAT_SLACK) * _TIE_REL holds no point of the near set
-    and is not searched for one; the skip is exact. The kept near points are
-    filtered again only when the deepest violation moves, as no other block
-    can push one out.
+    and is not searched for one; the skip is exact.
     """
 
     def __init__(self, where: str, lhs_expr: str, rhs_expr: str, coord: str, x_at: Callable):
@@ -329,21 +327,17 @@ class _LinkScan:
             return
         near = np.flatnonzero(m < -(1.0 - _FLOAT_SLACK) * theta)
         violating = near[m[near] < -theta[near]]
-        moved = False
         if len(violating):
             j = int(violating[np.argmin(m[violating])])
             if not self.violating or m[j] < self.margin:
                 self._take(start + j, a[j], b[j], m[j])
-                self.violating = moved = True
-        if self.violating:
-            near = near[m[near] <= self.margin + _FLOAT_SLACK * theta[near]]
+                self.violating = True
         parts = (start + near, m[near], theta[near])
         if self.near is not None:
-            old = self.near
-            if moved:
-                keep = old[1] <= self.margin + _FLOAT_SLACK * old[2]
-                old = tuple(p[keep] for p in old)
-            parts = tuple(np.concatenate(p) for p in zip(old, parts))
+            parts = tuple(np.concatenate(p) for p in zip(self.near, parts))
+        if self.violating:
+            keep = parts[1] <= self.margin + _FLOAT_SLACK * parts[2]
+            parts = tuple(p[keep] for p in parts)
         self.near = parts
 
     def report(self, value_fn: Callable[[float], tuple[float, float]] | None) -> LinkReport:
@@ -584,12 +578,15 @@ def verify_endpoint_limits(kernel: kernels.Kernel | str) -> dict:
     """Check a kernel's stored endpoint limits by approaching them.
 
     Accepts a Kernel or a kernel id resolved against the registry. Offsets
-    1e-3, 1e-5, 1e-7 walk toward each finite endpoint; the absolute errors
-    must not increase. Kernels flagged asymptotic are instead sampled at
-    their probe points, where only the error decrease is required (the
-    approach can be slow).
+    1e-3, 1e-5, 1e-7 walk toward each endpoint with a stored limit; the
+    absolute errors must not increase. A kernel with probe points is instead
+    sampled at them on its right side, where only the error decrease is
+    required (the approach can be slow). A kernel that stores no limit is a
+    DomainError.
     """
     k = kernels.get_kernel(kernel) if isinstance(kernel, str) else kernel
+    if k.limit_lo is None and k.limit_hi is None:
+        raise DomainError(f"kernel {k.id!r} stores no endpoint limit")
     sides: dict[str, dict] = {}
     ok = True
 
@@ -604,7 +601,7 @@ def verify_endpoint_limits(kernel: kernels.Kernel | str) -> dict:
     for side, limit in (("lo", k.limit_lo), ("hi", k.limit_hi)):
         if limit is None:
             continue
-        if side == "hi" and k.hi_asymptotic:
+        if side == "hi" and k.probe_points:
             key, approach = "points", list(k.probe_points)
             ts = approach
         else:
@@ -711,8 +708,11 @@ def theorem_m6_iff_suite(
     optimal-coefficient statement across the three parameter ranges.
     At the defaults a case is not ok for 0 < p < 0.2698 and -0.2864 < p < 0:
     its near-right probe breaks only closer to pi/2 than the grid's last
-    point, pi/2 - 1.6e-9, and reports not_falsified.
+    point, pi/2 - 1.6e-9, and reports not_falsified. An empty p_grid is a
+    DomainError.
     """
+    if len(p_grid) == 0:
+        raise DomainError("p_grid holds no exponent")
     cfg = config or VerificationConfig()
     cases = []
     passed = True

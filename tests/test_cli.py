@@ -6,9 +6,14 @@ import json
 import subprocess
 import sys
 
+import dataclasses
+
 import pytest
 
+from ineqforge import catalog as C
 from ineqforge import cli
+from ineqforge import kernels as K
+from ineqforge import verifier as V
 
 FAST = ["--samples", "801"]
 
@@ -26,6 +31,7 @@ def test_list_default_prints_all_sections(capsys):
     assert code == 0 and err == ""
     assert "chains:" in out and "probes:" in out and "kernels:" in out
     assert "M1" in out and "M1-lower" in out and "sinc" in out
+    assert "asymptote=0.735759" in out  # k_ratio has probe points
 
 
 def test_list_single_section(capsys):
@@ -59,6 +65,28 @@ def test_verify_mean_chain_reports_twin_margins(capsys):
     assert code == 0
     assert "twin margins: max deviation" in out
     assert "(ok)" in out
+
+
+def test_verify_prints_the_witness_of_a_flipped_link(capsys, monkeypatch):
+    flipped = C.flipped_catalog(C.load_catalog(), "M1", 0)
+    monkeypatch.setattr(V, "load_catalog", lambda: flipped)
+    code, out, err = run(capsys, "verify", "M1", *FAST)
+    assert code == 1 and "chain M1 [kernel]: falsified" in out
+    printed = [json.loads(line.split("witness: ", 1)[1])
+               for line in out.splitlines() if "witness: " in line]
+    report = V.verify_chain(flipped.get_chain("M1"), V.VerificationConfig(samples=801))
+    assert printed and printed == [link.witness for link in report.links if link.witness]
+
+
+def test_verify_prints_the_note_of_a_degenerate_link(capsys, monkeypatch):
+    source = C.load_catalog()
+    chain = source.get_chain("M1")
+    twice = dataclasses.replace(chain, members=chain.members[:1] * 2,
+                                member_fns=chain.member_fns[:1] * 2)
+    monkeypatch.setattr(V, "load_catalog", lambda: C.Catalog({"M1": twice}, {}))
+    code, out, err = run(capsys, "verify", "M1", *FAST)
+    assert code == 1
+    assert "    note: degenerate: both sides are numerically identical across the grid" in out
 
 
 def test_verify_unknown_chain_exits_two(capsys):
@@ -260,6 +288,15 @@ def test_table_last_row_is_stop(capsys):
     assert code == 0, err
     rows = list(csv.reader(io.StringIO(out)))
     assert len(rows) == 27 and rows[-1][0] == repr(float(stop))
+
+
+def test_table_default_range_is_the_verifier_inset(capsys):
+    code, out, err = run(capsys, "table", "sinc", "--count", "3")
+    assert code == 0, err
+    rows = list(csv.reader(io.StringIO(out)))
+    kernel = K.get_kernel("sinc")
+    lo, hi = V._inset(kernel.lo, kernel.hi, V.VerificationConfig().endpoint_eps)
+    assert (rows[1][0], rows[-1][0]) == (repr(lo), repr(hi))
 
 
 def test_table_arithmetic_failure_names_t(capsys):

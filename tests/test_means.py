@@ -203,6 +203,38 @@ def test_power_mean_order_nan_is_a_domain_error_and_inf_gives_the_limits():
     assert M.weighted_power_mean(-math.inf, 0.5, xs, ys).tolist() == [1.0, 1.0]
 
 
+_EQUAL_ARGS = [5e-324, 1e-310, 2.2250738585072014e-308, 1e-200, 0.3, 1.0, 3.0, 1e200, 1.7e308]
+
+
+@pytest.mark.parametrize("r", [0.0, -0.0, 1e-9, -1e-9, 2.0, -2.0, 1e300, -1e300,
+                               math.inf, -math.inf])
+def test_power_mean_of_an_equal_pair_is_that_argument(r):
+    # the mean is clamped to [min(x, y), max(x, y)], so an equal pair needs
+    # no path of its own
+    for x in _EQUAL_ARGS:
+        got = M.weighted_power_mean(r, 0.3, x, x)
+        assert type(got) is float and got.hex() == x.hex(), x
+    xs = np.array(_EQUAL_ARGS)
+    got = M.weighted_power_mean(r, 0.3, xs, xs.copy())
+    assert got.dtype == np.float64 and got.tobytes() == xs.tobytes()
+
+
+def test_power_mean_at_r_0_is_the_weighted_geometric_mean():
+    # the small-r expansion at r = 0 is exp(w log x + (1-w) log y), clamped,
+    # bit for bit
+    rng = np.random.default_rng(2301)
+    xs, ys = 10.0 ** rng.uniform(-300, 300, (2, 200))
+    ws = rng.uniform(0.01, 0.99, 200)
+    for r in (0.0, -0.0):
+        for w, x, y in zip(ws.tolist(), xs.tolist(), ys.tolist()):
+            want = math.exp(w * math.log(x) + (1.0 - w) * math.log(y))
+            assert M.weighted_power_mean(r, w, x, y) == min(max(want, min(x, y)), max(x, y))
+        for w in ws[:5].tolist():
+            want = np.exp(w * np.log(xs) + (1.0 - w) * np.log(ys))
+            want = np.clip(want, np.minimum(xs, ys), np.maximum(xs, ys))
+            assert M.weighted_power_mean(r, w, xs, ys).tobytes() == want.tobytes()
+
+
 def test_domain_errors():
     with pytest.raises(DomainError):
         M.mean_bundle(0.0, 1.0)

@@ -320,6 +320,16 @@ def test_asymptotic_kernel_uses_probe_points():
     report = V.verify_endpoint_limits("k_ratio")
     assert "points" in report["sides"]["hi"]
     assert report["sides"]["hi"]["points"] == [10.0, 25.0, 50.0]
+    # without probe points the right end is approached by offsets
+    bare = dataclasses.replace(K.KERNELS["k_ratio"], probe_points=())
+    side = V.verify_endpoint_limits(bare)["sides"]["hi"]
+    assert "points" not in side and side["offsets"] == [1e-3, 1e-5, 1e-7]
+
+
+def test_endpoint_limits_need_a_stored_limit():
+    kernel = K.Kernel("no_limits", 0.0, 1.0, lambda t: t, None, None)
+    with pytest.raises(DomainError, match="kernel 'no_limits' stores no endpoint limit"):
+        V.verify_endpoint_limits(kernel)
 
 
 def test_monotone_declared_direction():
@@ -384,6 +394,39 @@ def test_theorem_m6_iff_suite_small():
         assert case["ok"] is True
         assert case["chain"]["verdict"] == "verified_numeric"
         assert all(pr["verdict"] == "falsified" for pr in case["probes"])
+
+
+def test_theorem_m6_iff_suite_needs_an_exponent():
+    with pytest.raises(DomainError, match="p_grid holds no exponent"):
+        V.theorem_m6_iff_suite([])
+
+
+@pytest.mark.parametrize("cid, p", [("M6", 1.2), ("M6-p05", 0.5), ("M6-pm1", -1.0)])
+def test_packaged_m6_chains_are_the_regime_chains(cat, cid, p):
+    packaged, regime = cat.get_chain(cid), C.make_m6_chain(p)
+    ts = np.linspace(1e-9, math.pi / 2 - 1e-9, 4097)
+    for f, g in zip(packaged.member_fns, regime.member_fns, strict=True):
+        assert [f(t) for t in ts.tolist()[::64]] == [g(t) for t in ts.tolist()[::64]]
+        want = np.broadcast_to(g(ts), ts.shape)
+        assert np.broadcast_to(f(ts), ts.shape).tobytes() == want.tobytes()
+    # at the defaults their links differ only in the member names
+    links = V.verify_chain(packaged).links
+    for link, want in zip(links, V.verify_chain(regime).links, strict=True):
+        assert dataclasses.replace(link, lhs=want.lhs, rhs=want.rhs) == want
+
+
+def test_run_suite_details_a_tie_only_chain_and_a_probe_that_holds(cat):
+    members = ("sin(t)", "sin(t)+1e-16")
+    fns = tuple(C.compile_expression(m, ("t",)) for m in members)
+    tie = C.Chain("tie", "kernel", members, fns, (0.0, math.pi))
+    # nudging the constant the other way keeps the inequality
+    probe = cat.probes["M1-lower"]
+    holds = dataclasses.replace(probe, direction="+" if probe.direction == "-" else "-")
+    rows = {row.name: row for row in V.run_suite(SMALL, C.Catalog({"tie": tie}, {"holds": holds})).rows}
+    assert not rows["chain:tie"].passed
+    assert rows["chain:tie"].detail == "every margin sits inside the tie threshold"
+    assert not rows["probe:holds"].passed
+    assert rows["probe:holds"].detail == f"no violation found in {probe.region}"
 
 
 def test_run_suite_small_passes(cat):
