@@ -1,12 +1,11 @@
 """End-to-end CLI coverage via cli.main(argv): exit codes, output shapes, JSON."""
 
 import csv
+import dataclasses
 import io
 import json
 import subprocess
 import sys
-
-import dataclasses
 
 import pytest
 

@@ -405,8 +405,9 @@ def test_theorem_m6_iff_suite_needs_an_exponent():
 def test_packaged_m6_chains_are_the_regime_chains(cat, cid, p):
     packaged, regime = cat.get_chain(cid), C.make_m6_chain(p)
     ts = np.linspace(1e-9, math.pi / 2 - 1e-9, 4097)
+    sample = ts.tolist()[::64]
     for f, g in zip(packaged.member_fns, regime.member_fns, strict=True):
-        assert [f(t) for t in ts.tolist()[::64]] == [g(t) for t in ts.tolist()[::64]]
+        assert [f(t) for t in sample] == [g(t) for t in sample]
         want = np.broadcast_to(g(ts), ts.shape)
         assert np.broadcast_to(f(ts), ts.shape).tobytes() == want.tobytes()
     # at the defaults their links differ only in the member names
@@ -422,7 +423,8 @@ def test_run_suite_details_a_tie_only_chain_and_a_probe_that_holds(cat):
     # nudging the constant the other way keeps the inequality
     probe = cat.probes["M1-lower"]
     holds = dataclasses.replace(probe, direction="+" if probe.direction == "-" else "-")
-    rows = {row.name: row for row in V.run_suite(SMALL, C.Catalog({"tie": tie}, {"holds": holds})).rows}
+    report = V.run_suite(SMALL, C.Catalog({"tie": tie}, {"holds": holds}))
+    rows = {row.name: row for row in report.rows}
     assert not rows["chain:tie"].passed
     assert rows["chain:tie"].detail == "every margin sits inside the tie threshold"
     assert not rows["probe:holds"].passed
