@@ -216,7 +216,9 @@ def test_power_mean_of_an_equal_pair_is_that_argument(r):
         assert type(got) is float and got.hex() == x.hex(), x
     xs = np.array(_EQUAL_ARGS)
     got = M.weighted_power_mean(r, 0.3, xs, xs.copy())
-    assert got.dtype == np.float64 and got.tobytes() == xs.tobytes()
+    assert got.dtype == np.float64 and got.tobytes() == xs.tobytes() and got is not xs
+    # a float and an array broadcast to an array, equal or not
+    assert M.weighted_power_mean(r, 0.3, 3.0, np.full(2, 3.0)).tolist() == [3.0, 3.0]
 
 
 def test_power_mean_at_r_0_is_the_weighted_geometric_mean():
