@@ -158,7 +158,7 @@ def _angle(substitution: str, a, g, u):
 def _pair_angle(substitution: str, x, y):
     """t = arcsin or arctan of (x-y)/(x+y) for substitution "arcsin" or
     "arctan", as P or T takes it, of a valid pair (floats or arrays). The
-    pair is not checked again: the twin check calls this on every block."""
+    pair is not checked again: the twin check calls this once per link."""
     return _angle(substitution, *_agu(x, y))
 
 

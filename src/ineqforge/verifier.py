@@ -26,7 +26,10 @@ All verdicts are numeric evidence, not proof. Reports carry a reproducible
 witness (a concrete point with both side values) whenever something fails.
 Chain and probe reports carry the full VerificationConfig they ran with; a
 mean chain's report carries its twin check as twin_max_deviation,
-twin_tolerance_rel and twin_ok.
+twin_tolerance_rel and twin_ok. That a mean chain transcribes its kernel
+chain is proved once, in tests/test_transcriptions.py; at run time the twin
+check compares each link's mean margin with its scaled twins' margin at the
+link's reported ratio only.
 """
 
 from __future__ import annotations
@@ -69,9 +72,10 @@ _BLOCK = 4096
 # Golden-section steps per refinement: the bracket of two grid steps shrinks
 # by 0.618**30, about 5e-7, to under 1e-10 of the domain at 20001 samples.
 _REFINE_STEPS = 30
-# A mean margin and its twins' margin agree within _TWIN_REL * max(1, |lhs
-# twin|, |rhs twin|), the scale of the tie threshold: the margin itself is a
-# cancelling difference of members as large as the ratio.
+# At a link's reported ratio, its mean margin and its scaled twins' margin
+# agree within _TWIN_REL * max(1, |lhs twin|, |rhs twin|), the scale of the
+# tie threshold: the margin itself is a cancelling difference of members as
+# large as the ratio. The identity behind it is proved in the tests.
 _TWIN_REL = 1e-10
 _SPOT_REL = 1e-9
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -126,8 +130,13 @@ def _inset(lo: float, hi: float, eps: float) -> tuple[float, float]:
 _EVAL_ERRORS = (DomainError, ArithmeticError, ValueError, TypeError)
 
 
-def _eval_error(where: str, expr: str, exc: Exception) -> DomainError:
-    return DomainError(f"{where}: cannot evaluate {expr}: {exc}")
+def _evaluate(where: str, expr: str, fn: Callable, *args):
+    """fn(*args), with an error raised by fn as a DomainError naming the check
+    ``where`` and fn's expression ``expr``."""
+    try:
+        return fn(*args)
+    except _EVAL_ERRORS as exc:
+        raise DomainError(f"{where}: cannot evaluate {expr}: {exc}") from exc
 
 
 def _on_block(where: str, expr: str, fn: Callable, *args):
@@ -141,11 +150,8 @@ def _on_block(where: str, expr: str, fn: Callable, *args):
     """
     np = _np()
     n = max(len(a) for a in args if isinstance(a, np.ndarray))
-    try:
-        with np.errstate(all="ignore"):
-            values = fn(*args)
-    except _EVAL_ERRORS as exc:
-        raise _eval_error(where, expr, exc) from exc
+    with np.errstate(all="ignore"):
+        values = _evaluate(where, expr, fn, *args)
     if isinstance(values, np.ndarray) and values.dtype == np.float64 and values.shape == (n,):
         return values
     if np.iscomplexobj(values):
@@ -435,8 +441,13 @@ def _mean_args(chain: Chain, ratio) -> list:
 def _verify_mean_chain(
     chain: Chain, config: VerificationConfig
 ) -> tuple[list[LinkReport], float, bool]:
+    """The links of a mean chain over its ratio grid, and its twin check:
+    the largest gap between a link's mean margin and its scaled twins'
+    margin, and whether every gap is within tolerance. The grid feeds only
+    the members; each link's gap is taken once, at its reported ratio."""
     np = _np()
     where = f"chain {chain.id}"
+    means = f"the means {', '.join(chain.mean_kinds)}"
     step = (config.ratio_max - 1.0) / config.ratio_samples
     ratios = 1.0 + np.arange(1, config.ratio_samples + 1) * step
     fns = chain.member_fns
@@ -444,32 +455,16 @@ def _verify_mean_chain(
         _LinkScan(where, lhs, rhs, "ratio", ratios.item)
         for lhs, rhs in zip(chain.members, chain.members[1:])
     ]
-    twin_max = 0.0
-    twin_ok = True
     for start in range(0, len(ratios), _BLOCK):
-        block = ratios[start:start + _BLOCK]
-        try:
-            vec = _mean_args(chain, block)
-        except _EVAL_ERRORS as exc:
-            raise _eval_error(where, f"the means {', '.join(chain.mean_kinds)}", exc) from exc
+        vec = _evaluate(where, means, _mean_args, chain, ratios[start:start + _BLOCK])
         values = [_on_block(where, name, fn, *vec) for name, fn in zip(chain.members, fns)]
         for scan, lhs_vals, rhs_vals in zip(scans, values, values[1:]):
             scan.add(lhs_vals, rhs_vals)
-        ts = _pair_angle(chain.substitution, block, 1.0)
-        scale = _on_block(where, chain.scale, chain.scale_fn, *vec)
-        twins = [
-            scale * _on_block(where, name, fn, ts)
-            for name, fn in zip(chain.twin_members, chain.twin_fns)
-        ]
-        for lhs_vals, rhs_vals, lhs_twin, rhs_twin in zip(values, values[1:], twins, twins[1:]):
-            kern_margin = rhs_twin - lhs_twin
-            deviation = np.abs(rhs_vals - lhs_vals - kern_margin)
-            twin_max = max(twin_max, deviation.max().item())
-            tolerance = _TWIN_REL * np.maximum(np.maximum(np.abs(lhs_twin), np.abs(rhs_twin)), 1.0)
-            twin_ok = twin_ok and not (deviation > tolerance).any()
 
     links = []
-    for scan, lf, rf in zip(scans, fns, fns[1:]):
+    twin_max = 0.0
+    twin_ok = True
+    for i, (scan, lf, rf) in enumerate(zip(scans, fns, fns[1:])):
 
         def value_fn(r: float, lf=lf, rf=rf) -> tuple[float, float]:
             vec = _mean_args(chain, r)
@@ -479,6 +474,18 @@ def _verify_mean_chain(
         if link.witness is not None:
             link.witness["pair"] = [link.witness["ratio"], 1.0]
         links.append(link)
+        r = link.argmin
+        vec = _evaluate(where, means, _mean_args, chain, r)
+        lhs, rhs = (_evaluate(where, chain.members[k], fns[k], *vec) for k in (i, i + 1))
+        scale = _evaluate(where, chain.scale, chain.scale_fn, *vec)
+        t = _pair_angle(chain.substitution, r, 1.0)
+        lhs_twin, rhs_twin = (
+            scale * _evaluate(where, chain.twin_members[k], chain.twin_fns[k], t)
+            for k in (i, i + 1)
+        )
+        deviation = abs(rhs - lhs - (rhs_twin - lhs_twin))
+        twin_max = max(twin_max, deviation)
+        twin_ok = twin_ok and not deviation > _TWIN_REL * max(abs(lhs_twin), abs(rhs_twin), 1.0)
     return links, twin_max, twin_ok
 
 
@@ -486,10 +493,12 @@ def verify_chain(chain: Chain | str, config: VerificationConfig | None = None) -
     """Check every adjacent ordering in a chain on a dense grid.
 
     Accepts a Chain, such as one of another catalog, or a chain id resolved
-    against the packaged catalog. Mean-form chains are additionally
-    cross-checked against their kernel twins at the t that P or T takes:
-    after scaling, the margins must agree to 1e-10 of the larger twin, or
-    absolute 1e-10 below 1.
+    against the packaged catalog. A mean-form chain is additionally
+    cross-checked against its kernel twins at each link's reported ratio,
+    at the t that P or T takes: after scaling, the margins must agree to
+    1e-10 of the larger twin, or absolute 1e-10 below 1. The identity of
+    every packaged member with its twin is proved in
+    tests/test_transcriptions.py.
     """
     cfg = config or VerificationConfig()
     if isinstance(chain, str):

@@ -381,6 +381,22 @@ def test_import_and_catalog_load_leave_numpy_out(child_env):
     assert out.stdout.strip() == "False"
 
 
+def test_import_load_and_a_mean_chain_leave_sympy_out(child_env):
+    # sympy proves the mean transcriptions in the tests only.
+    code = (
+        "import sys, ineqforge\n"
+        "ineqforge.load_catalog()\n"
+        "ineqforge.verify_chain('M1c-i1')\n"
+        "print('sympy' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=child_env,
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert out.stdout.strip() == "False"
+
+
 def _plain_leaves(value):
     if isinstance(value, dict):
         for item in value.values():

@@ -197,9 +197,39 @@ def test_wrong_counterpart_member_makes_the_twin_check_fail(cat):
     report = V.verify_chain(wrong)
     assert all(link.verdict == "verified_numeric" for link in report.links)
     assert report.twin_ok is False
-    assert report.twin_max_deviation > 0.1
     assert report.verdict == "inconclusive"
     assert report.note == "mean and kernel margins disagree beyond tolerance"
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        VerificationConfig(),
+        VerificationConfig(ratio_samples=2001, ratio_max=47.5),
+        VerificationConfig(ratio_samples=2001, ratio_max=1e4),
+    ],
+)
+def test_twin_fields_measure_each_link_at_its_reported_ratio(cat, cfg):
+    # The identities are proved in test_transcriptions; at run time each
+    # link's mean margin meets its scaled twins' margin once, at its argmin.
+    for chain in cat.chains.values():
+        if chain.kind != "mean":
+            continue
+        report = V.verify_chain(chain, cfg)
+        deviations, ok = [], True
+        for i, link in enumerate(report.links):
+            bundle = M.mean_bundle(link.argmin, 1.0)
+            args = [bundle[v] for v in C.MEAN_VARS]
+            lhs, rhs = (chain.member_fns[k](*args) for k in (i, i + 1))
+            scale = chain.scale_fn(*args)
+            t = M._pair_angle(chain.substitution, link.argmin, 1.0)
+            lhs_twin, rhs_twin = (scale * chain.twin_fns[k](t) for k in (i, i + 1))
+            deviation = abs(rhs - lhs - (rhs_twin - lhs_twin))
+            deviations.append(deviation)
+            tolerance = report.twin_tolerance_rel * max(1.0, abs(lhs_twin), abs(rhs_twin))
+            ok = ok and deviation <= tolerance
+        assert report.twin_max_deviation == max(deviations), chain.id
+        assert report.twin_ok is ok is True, chain.id
 
 
 @pytest.mark.parametrize("ratio_max", [1e8, 1e12])
