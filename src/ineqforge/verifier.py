@@ -25,11 +25,9 @@ stay plain floats.
 All verdicts are numeric evidence, not proof. Reports carry a reproducible
 witness (a concrete point with both side values) whenever something fails.
 Chain and probe reports carry the full VerificationConfig they ran with; a
-mean chain's report carries its twin check as twin_max_deviation,
-twin_tolerance_rel and twin_ok. That a mean chain transcribes its kernel
-chain is proved once, in tests/test_transcriptions.py; at run time the twin
-check compares each link's mean margin with its scaled twins' margin at the
-link's reported ratio only.
+mean chain's report carries its twin check, taken once per link at its
+reported ratio, as twin_max_deviation, twin_tolerance_rel and twin_ok; the
+identity it checks is proved in tests/test_transcriptions.py.
 """
 
 from __future__ import annotations
