@@ -22,6 +22,7 @@ from .catalog import load_catalog
 from .errors import IneqForgeError
 from .verifier import (
     VerificationConfig,
+    _Grid,
     _inset,
     probe_sharpness,
     run_suite,
@@ -229,11 +230,10 @@ def _cmd_table(args: argparse.Namespace) -> tuple[int, None]:
         raise IneqForgeError(f"empty range [{start!r}, {stop!r}]")
     if args.count < 2:
         raise IneqForgeError("--count must be at least 2")
-    step = (stop - start) / (args.count - 1)
     # Every row is computed before the output is opened, so a failing row
-    # leaves no partial table behind. The last point is stop itself, as in
-    # np.linspace: start + (count - 1) * step can round past it.
-    ts = [start + i * step for i in range(args.count - 1)] + [stop]
+    # leaves no partial table behind. The rows' t are the verifier's grid.
+    grid = _Grid(start, stop, args.count)
+    ts = [grid.at(i) for i in range(args.count)]
     values = []
     for t in ts:
         try:

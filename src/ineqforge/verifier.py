@@ -13,13 +13,15 @@ violates, else the first smallest margin. The float recheck, golden-section
 refinement and witness all work on that point, so a falsified link's
 min_margin and argmin are its witness's margin and coordinate.
 
-Grids are evaluated and scanned in blocks of 4096 points: one member call
-and a few array operations per block, and no grid-sized array per member or
-intermediate. Kernel chains and probes make their points one block at a
-time, so they hold no grid array at all. Blocks are kept for speed and
-memory: scanning whole 20001-point grids instead read the benchmark's
-query_p50_ms 13-27% slower on all three workloads and means_dense's
-peak_rss_mb 10.3% higher. Golden-section refinement and every reported value
+Every check takes its points from one grid, _Grid: numpy's linspace
+arithmetic, made one block of 4096 points at a time. Kernel chains and probes
+run over t, mean chains over the ratio, without ratio 1, and monotone checks
+over t in blocks that share their edge points; the CLI's table takes its rows
+from it too. A block costs one member call and a few array operations, and
+no check holds a grid-sized array. Blocks are kept for speed and memory:
+scanning whole 20001-point grids instead read the benchmark's query_p50_ms
+13-27% slower on all three workloads and means_dense's peak_rss_mb 10.3%
+higher. Golden-section refinement and every reported value
 stay plain floats.
 
 All verdicts are numeric evidence, not proof. Reports carry a reproducible
@@ -62,9 +64,9 @@ _TIE_REL = 1e-13
 # the packaged catalog; grid points within 0.15 of violating and of the
 # deepest violation are evaluated again as floats.
 _FLOAT_SLACK = 0.15
-# Grids are evaluated and scanned in blocks of this many points, so a check
-# holds 32 KB arrays where a whole 20001-point grid takes 160 KB per member
-# and intermediate. Scanning whole grids was measured 13-27% slower per query
+# Every grid is made, evaluated and scanned in blocks of this many points, so
+# a check holds 32 KB arrays where a whole 20001-point grid takes 160 KB per
+# member and intermediate. Scanning whole grids was measured 13-27% slower per query
 # on every benchmark workload, with 10.3% more peak memory on means_dense.
 _BLOCK = 4096
 # Golden-section steps per refinement: the bracket of two grid steps shrinks
@@ -119,8 +121,41 @@ class VerificationConfig:
 
 
 def _inset(lo: float, hi: float, eps: float) -> tuple[float, float]:
+    """The domain (lo, hi) moved in by endpoint_eps = eps of its span at each
+    end; an eps too small to move an end is a DomainError."""
     span = hi - lo
-    return lo + eps * span, hi - eps * span
+    glo, ghi = lo + eps * span, hi - eps * span
+    if glo == lo or ghi == hi:
+        raise DomainError(
+            f"endpoint_eps={eps!r} is too small for the domain ({lo!r}, {hi!r}): "
+            "an end of the grid rounds to an end of the domain"
+        )
+    return glo, ghi
+
+
+class _Grid:
+    """The points of numpy's linspace(lo, hi, n) from index ``first`` on, by
+    its arithmetic: linspace point i is i * step + lo and the last is hi.
+    Point k of the grid is linspace point first + k."""
+
+    def __init__(self, lo: float, hi: float, n: int, first: int = 0):
+        self.lo, self.hi, self.n, self.first = lo, hi, n, first
+        self.step = (hi - lo) / (n - 1)
+
+    def at(self, k: int) -> float:
+        i = self.first + k
+        return self.hi if i == self.n - 1 else i * self.step + self.lo
+
+    def blocks(self, shared: bool = False):
+        """The points as float arrays of _BLOCK points, or with ``shared`` of
+        _BLOCK steps: each block then ends on the next block's first point."""
+        np = _np()
+        for start in range(self.first, self.n - shared, _BLOCK):
+            stop = min(start + _BLOCK + shared, self.n)
+            block = np.arange(start, stop, dtype=float) * self.step + self.lo
+            if stop == self.n:
+                block[-1] = self.hi
+            yield block
 
 
 # What evaluating a member can raise: each becomes a DomainError naming the
@@ -401,28 +436,29 @@ def _chain_verdict(links: Iterable[LinkReport]) -> str:
 
 
 def _check_links(
-    where: str, names: Sequence[str], fns: Sequence[Callable], lo: float, hi: float, n: int
+    where: str, names: Sequence[str], fns: Sequence[Callable], coord: str, grid: _Grid,
+    args: Callable | None = None,
 ) -> list[LinkReport]:
-    """Every adjacent pair of members fn(t) scanned over n points spanning
-    [lo, hi] and refined: a kernel chain, or a probe as a two-member chain.
-    Point i is i * step + lo and the last is hi, np.linspace's arithmetic,
-    made one block at a time."""
-    np = _np()
-    step = (hi - lo) / (n - 1)
-
-    def x_at(i: int) -> float:
-        return hi if i == n - 1 else i * step + lo
-
-    scans = [_LinkScan(where, lhs, rhs, "t", x_at) for lhs, rhs in zip(names, names[1:])]
-    for start in range(0, n, _BLOCK):
-        block = np.arange(start, min(start + _BLOCK, n), dtype=float) * step + lo
-        if start + _BLOCK >= n:
-            block[-1] = hi
-        values = [_on_block(where, name, fn, block) for name, fn in zip(names, fns)]
+    """Every adjacent pair of members scanned over the grid block by block and
+    refined: a chain, or a probe as a two-member chain. The members take the
+    point ``coord`` or a block of them, or what ``args`` maps it to."""
+    scans = [_LinkScan(where, lhs, rhs, coord, grid.at) for lhs, rhs in zip(names, names[1:])]
+    for block in grid.blocks():
+        vec = (block,) if args is None else args(block)
+        values = [_on_block(where, name, fn, *vec) for name, fn in zip(names, fns)]
         for scan, lhs_vals, rhs_vals in zip(scans, values, values[1:]):
             scan.add(lhs_vals, rhs_vals)
+
+    def value_fn(lf: Callable, rf: Callable, x: float) -> tuple[float, float]:
+        vec = args(x)
+        return lf(*vec), rf(*vec)
+
+    # Members of the point itself are called directly: every refinement step calls them.
     return [
-        scan.report(lambda t, lf=lf, rf=rf: (lf(t), rf(t)))
+        scan.report(
+            (lambda t, lf=lf, rf=rf: (lf(t), rf(t))) if args is None
+            else functools.partial(value_fn, lf, rf)
+        )
         for scan, lf, rf in zip(scans, fns, fns[1:])
     ]
 
@@ -437,43 +473,18 @@ def _mean_args(chain: Chain, ratio) -> list:
 
 
 def _verify_mean_chain(
-    chain: Chain, config: VerificationConfig
-) -> tuple[list[LinkReport], float, bool]:
-    """The links of a mean chain over its ratio grid, and its twin check:
-    the largest gap between a link's mean margin and its scaled twins'
-    margin, and whether every gap is within tolerance. The grid feeds only
-    the members; each link's gap is taken once, at its reported ratio."""
-    np = _np()
-    where = f"chain {chain.id}"
-    means = f"the means {', '.join(chain.mean_kinds)}"
-    step = (config.ratio_max - 1.0) / config.ratio_samples
-    ratios = 1.0 + np.arange(1, config.ratio_samples + 1) * step
+    where: str, chain: Chain, links: list[LinkReport], args: Callable
+) -> tuple[float, bool]:
+    """A mean chain's twin check, taken once per link at its reported ratio:
+    the largest gap between the mean margin and the scaled twins' margin, and
+    whether every gap is within tolerance. Each witness gets its pair."""
     fns = chain.member_fns
-    scans = [
-        _LinkScan(where, lhs, rhs, "ratio", ratios.item)
-        for lhs, rhs in zip(chain.members, chain.members[1:])
-    ]
-    for start in range(0, len(ratios), _BLOCK):
-        vec = _evaluate(where, means, _mean_args, chain, ratios[start:start + _BLOCK])
-        values = [_on_block(where, name, fn, *vec) for name, fn in zip(chain.members, fns)]
-        for scan, lhs_vals, rhs_vals in zip(scans, values, values[1:]):
-            scan.add(lhs_vals, rhs_vals)
-
-    links = []
-    twin_max = 0.0
-    twin_ok = True
-    for i, (scan, lf, rf) in enumerate(zip(scans, fns, fns[1:])):
-
-        def value_fn(r: float, lf=lf, rf=rf) -> tuple[float, float]:
-            vec = _mean_args(chain, r)
-            return lf(*vec), rf(*vec)
-
-        link = scan.report(value_fn)
+    twin_max, twin_ok = 0.0, True
+    for i, link in enumerate(links):
         if link.witness is not None:
             link.witness["pair"] = [link.witness["ratio"], 1.0]
-        links.append(link)
         r = link.argmin
-        vec = _evaluate(where, means, _mean_args, chain, r)
+        vec = args(r)
         lhs, rhs = (_evaluate(where, chain.members[k], fns[k], *vec) for k in (i, i + 1))
         scale = _evaluate(where, chain.scale, chain.scale_fn, *vec)
         t = _pair_angle(chain.substitution, r, 1.0)
@@ -484,7 +495,7 @@ def _verify_mean_chain(
         deviation = abs(rhs - lhs - (rhs_twin - lhs_twin))
         twin_max = max(twin_max, deviation)
         twin_ok = twin_ok and not deviation > _TWIN_REL * max(abs(lhs_twin), abs(rhs_twin), 1.0)
-    return links, twin_max, twin_ok
+    return twin_max, twin_ok
 
 
 def verify_chain(chain: Chain | str, config: VerificationConfig | None = None) -> ChainReport:
@@ -502,14 +513,18 @@ def verify_chain(chain: Chain | str, config: VerificationConfig | None = None) -
     if isinstance(chain, str):
         chain = load_catalog().get_chain(chain)
     start = time.perf_counter()
+    where = f"chain {chain.id}"
     twin_max = twin_rel = twin_ok = note = None
     if chain.kind == "kernel":
-        lo, hi = _inset(*chain.domain, cfg.endpoint_eps)
-        links = _check_links(
-            f"chain {chain.id}", chain.members, chain.member_fns, lo, hi, cfg.samples
-        )
+        grid = _Grid(*_inset(*chain.domain, cfg.endpoint_eps), cfg.samples)
+        links = _check_links(where, chain.members, chain.member_fns, "t", grid)
     else:
-        links, twin_max, twin_ok = _verify_mean_chain(chain, cfg)
+        means = f"the means {', '.join(chain.mean_kinds)}"
+        args = functools.partial(_evaluate, where, means, _mean_args, chain)
+        # Ratio 1, where every mean is equal, is left out.
+        grid = _Grid(1.0, cfg.ratio_max, cfg.ratio_samples + 1, first=1)
+        links = _check_links(where, chain.members, chain.member_fns, "ratio", grid, args)
+        twin_max, twin_ok = _verify_mean_chain(where, chain, links, args)
         twin_rel = _TWIN_REL
     verdict = _chain_verdict(links)
     if twin_ok is False and verdict == "verified_numeric":
@@ -559,9 +574,8 @@ def probe_sharpness(probe: Probe | str, config: VerificationConfig | None = None
         f"probe {probe.id}",
         (probe.lhs, probe.rhs),
         (functools.partial(probe.lhs_fn, parameter), functools.partial(probe.rhs_fn, parameter)),
-        rlo,
-        rhi,
-        cfg.samples,
+        "t",
+        _Grid(rlo, rhi, cfg.samples),
     )
     broke = link.verdict == "falsified" and link.witness is not None
     elapsed = time.perf_counter() - start
@@ -638,37 +652,33 @@ def verify_monotone(kernel: kernels.Kernel | str, config: VerificationConfig | N
     cfg = config or VerificationConfig()
     np = _np()
     glo, ghi = _inset(k.lo, k.hi, cfg.endpoint_eps)
+    grid = _Grid(glo, ghi, cfg.samples)
     where = f"kernel {kernel_id}"
-    ts = np.linspace(glo, ghi, cfg.samples)
-    values = np.concatenate(
-        [_on_block(where, kernel_id, k.fn, ts[s:s + _BLOCK]) for s in range(0, len(ts), _BLOCK)]
-    )
-    sign = 1.0 if direction == "increasing" else -1.0
+    sign = 1 if direction == "increasing" else -1
 
-    # Step i, at ts[i], is a link from values[i] to values[i + 1]: for an
-    # increasing kernel the later value is the larger side, for a decreasing
-    # one the earlier. Steps are not refined.
-    names, sides = ("f(t_i)", "f(t_i+1)"), (values[:-1], values[1:])
-    if direction == "decreasing":
-        names, sides = names[::-1], sides[::-1]
-    scan = _LinkScan(where, *names, "t", ts.item)
-    for start in range(0, len(ts) - 1, _BLOCK):
-        scan.add(*(side[start:start + _BLOCK] for side in sides))
+    # Step i, at t_i, is a link from f(t_i) to f(t_i+1): for an increasing
+    # kernel the later value is the larger side, for a decreasing one the
+    # earlier. Neighbouring blocks share their edge point, so every step lies
+    # in one block. Steps are not refined.
+    names = ("f(t_i)", "f(t_i+1)")[::sign]
+    scan = _LinkScan(where, *names, "t", grid.at)
+    for block in grid.blocks(shared=True):
+        values = _on_block(where, kernel_id, k.fn, block)
+        if scan.n == 0:
+            first = values[0].item()
+        scan.add(*(values[:-1], values[1:])[::sign])
     link = scan.report(None)
     i = scan.idx
+    value, value_next = scan.sides[::sign]
     # Recomputed rather than taken from min_margin: a flat step of a
     # decreasing kernel is -0.0 here, and the report keeps that sign.
-    worst_step = sign * (values[i + 1] - values[i]).item()
+    worst_step = sign * (value_next - value)
     witness = None
     if link.witness is not None:
-        witness = {
-            "t": ts.item(i),
-            "t_next": ts.item(i + 1),
-            "value": values[i].item(),
-            "value_next": values[i + 1].item(),
-        }
+        t, t_next = grid.at(i), grid.at(i + 1)
+        witness = {"t": t, "t_next": t_next, "value": value, "value_next": value_next}
 
-    net_change = sign * (values[-1] - values[0]).item()
+    net_change = sign * (values[-1].item() - first)
     # Seeded central differences at 100 random interior points.
     rng = random.Random(20260816)
     h = (ghi - glo) * 1e-6

@@ -12,6 +12,7 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -255,9 +256,54 @@ def test_check_links_points_are_linspace_bit_for_bit(k):
             blocks.append(t.copy())
         return 0.0 * t
 
-    (link,) = V._check_links("grid", ("0", "|t - c|"), (zero, lambda t: abs(t - c)), lo, hi, n)
+    (link,) = V._check_links(
+        "grid", ("0", "|t - c|"), (zero, lambda t: abs(t - c)), "t", V._Grid(lo, hi, n)
+    )
     assert np.array_equal(np.concatenate(blocks), grid)
     assert link.min_margin == 0.0 and link.argmin == c
+
+
+def test_mean_grid_is_linspace_and_ends_on_ratio_max(monkeypatch):
+    # 1 + 20001 * step rounds to 1e8 - 1.49e-8; the grid's last ratio is 1e8
+    cfg = V.VerificationConfig(ratio_max=1e8, ratio_samples=20001)
+    blocks = []
+
+    def recording_bundle(ratio, *args):
+        if isinstance(ratio, np.ndarray):
+            blocks.append(ratio.copy())
+        return M.mean_bundle(ratio, *args)
+
+    monkeypatch.setattr(V, "mean_bundle", recording_bundle)
+    V.verify_chain("M1c-i1", cfg)
+    ratios = np.concatenate(blocks)
+    assert np.array_equal(ratios, np.linspace(1.0, 1e8, 20002)[1:])
+    assert ratios[-1] == 1e8
+
+
+@pytest.mark.parametrize(
+    "check, target",
+    [
+        (V.verify_chain, "M1c"),
+        (V.verify_chain, "M2c2-i"),
+        (V.probe_sharpness, "M1-lower"),
+        (V.verify_monotone, "sinc"),
+    ],
+)
+def test_no_check_holds_a_grid_sized_array(check, target):
+    # one float array of 200001 points takes 1.6 MB; the traced peak may
+    # grow by no more than 100 KB from 20001 samples or ratios to 200001
+    def peak(n: int) -> int:
+        cfg = V.VerificationConfig(samples=n, ratio_samples=n)
+        tracemalloc.start()
+        try:
+            check(target, cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    check(target, V.VerificationConfig(samples=801))
+    small, big = peak(20001), peak(200001)
+    assert big - small < 100_000, (small, big)
 
 
 def test_floats_in_floats_out():

@@ -2,8 +2,8 @@
 
 bench/worker.py drives the package through its public API, for example
 VerificationConfig(ratio_samples=..., ratio_max=...), config.endpoint_eps and,
-in a traced round, verifier.make_m6_chain, and checks every output of its
-round. A change that breaks that API or those outputs fails here, before a
+in a traced round, verifier.make_m6_chain and verifier.mean_bundle, and checks
+every output of its round. A change that breaks that API or those outputs fails here, before a
 benchmark run.
 """
 
@@ -23,7 +23,9 @@ ROOT = Path(__file__).resolve().parents[1]
         ("round", "suite"),
         ("round", "m6_sweep"),
         ("round", "means_dense"),
+        ("traced", "suite"),
         ("traced", "m6_sweep"),
+        ("traced", "means_dense"),
     ],
 )
 def test_benchmark_round_runs_without_failures(tmp_path, child_env, mode, workload):

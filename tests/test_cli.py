@@ -7,6 +7,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from ineqforge import catalog as C
@@ -296,6 +297,30 @@ def test_table_default_range_is_the_verifier_inset(capsys):
     kernel = K.get_kernel("sinc")
     lo, hi = V._inset(kernel.lo, kernel.hi, V.VerificationConfig().endpoint_eps)
     assert (rows[1][0], rows[-1][0]) == (repr(lo), repr(hi))
+
+
+def test_table_rows_are_linspace(capsys):
+    code, out, err = run(capsys, "table", "sinc", "--start", "0.1", "--stop", "1.5",
+                         "--count", "200")
+    assert code == 0, err
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert [float(t) for t, _ in rows] == np.linspace(0.1, 1.5, 200).tolist()
+
+
+@pytest.mark.parametrize(
+    "argv, eps",
+    [
+        (["verify", "M1", "--endpoint-eps", "5e-17"], 5e-17),
+        (["sharpness", "M1-upper", "--endpoint-eps", "5e-17"], 5e-17),
+        (["suite", "--endpoint-eps", "1e-320"], 1e-320),
+    ],
+)
+def test_endpoint_eps_too_small_to_move_a_domain_end_exits_2(capsys, argv, eps):
+    code, out, err = run(capsys, *argv, *FAST)
+    assert code == 2 and out == ""
+    assert err.startswith(
+        f"error: endpoint_eps={eps!r} is too small for the domain (0.0, 1.5707963267948966)"
+    )
 
 
 def test_table_arithmetic_failure_names_t(capsys):

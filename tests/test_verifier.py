@@ -414,6 +414,59 @@ def test_monotone_constant_kernel_is_inconclusive():
     assert "witness" not in report and report["spot_checks_ok"] is True
 
 
+EDGES = VerificationConfig(samples=2 * V._BLOCK + 7)
+
+
+@pytest.mark.parametrize("direction", ["increasing", "decreasing"])
+@pytest.mark.parametrize("step", [V._BLOCK - 1, V._BLOCK, 2 * V._BLOCK + 5])
+def test_monotone_finds_a_wrong_way_step_at_a_block_edge(direction, step):
+    # steps V._BLOCK - 1 and V._BLOCK end and start a block; the last step
+    # ends the grid. The kernel moves the declared way but drops by 1 there.
+    sign = 1.0 if direction == "increasing" else -1.0
+    ts = np.linspace(*V._inset(0.0, 3.0, EDGES.endpoint_eps), EDGES.samples)
+    cut = ts[step].item()
+
+    def planted(t):
+        return sign * (t - np.where(t > cut, 1.0, 0.0))
+
+    kernel = K.Kernel("planted", 0.0, 3.0, planted, None, None, monotone=direction)
+    report = V.verify_monotone(kernel, EDGES)
+    values = planted(ts)
+    assert report["verdict"] == "falsified"
+    assert report["witness"] == {
+        "t": ts[step].item(),
+        "t_next": ts[step + 1].item(),
+        "value": values[step].item(),
+        "value_next": values[step + 1].item(),
+    }
+    assert report["worst_at"] == ts[step].item()
+    assert report["worst_step"] == sign * (values[step + 1] - values[step]).item()
+    assert report["net_change"] == sign * (values[-1] - values[0]).item()
+
+
+def test_monotone_flat_step_of_a_decreasing_kernel_is_minus_zero():
+    flat = K.Kernel("flat", 0.0, 1.0, lambda t: 0.0 * t + 1.0, 1.0, 1.0, monotone="decreasing")
+    report = V.verify_monotone(flat, config=EDGES)
+    assert report["verdict"] == "inconclusive"
+    assert math.copysign(1.0, report["worst_step"]) == -1.0
+    assert math.copysign(1.0, report["net_change"]) == -1.0
+
+
+@pytest.mark.parametrize(
+    "check, target",
+    [
+        (V.verify_chain, "M1"),
+        (V.probe_sharpness, "M1-upper"),
+        (V.verify_monotone, "sinc"),
+    ],
+)
+@pytest.mark.parametrize("eps", [5e-17, 1e-320])
+def test_endpoint_eps_that_moves_no_domain_end_is_an_error(check, target, eps):
+    # pi/2 - 5e-17 * pi/2 rounds to pi/2: the grid would end on the domain's end
+    with pytest.raises(DomainError, match=rf"^endpoint_eps={eps!r} is too small for the domain \("):
+        check(target, VerificationConfig(endpoint_eps=eps))
+
+
 # --- parametric family and suite -----------------------------------------------------------
 
 def test_theorem_m6_iff_suite_small():
