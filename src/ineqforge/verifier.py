@@ -111,7 +111,7 @@ class VerificationConfig:
         if self.ratio_samples < 2:
             raise DomainError("ratio_samples must be at least 2")
         # The first ratio must exceed 1, or the twins are evaluated at t = 0.
-        if 1.0 + (self.ratio_max - 1.0) / self.ratio_samples == 1.0:
+        if _Grid(1.0, self.ratio_max, self.ratio_samples + 1).at(1) == 1.0:
             raise DomainError(
                 f"ratio_max={self.ratio_max!r} is too close to 1 for "
                 f"ratio_samples={self.ratio_samples}: the first ratio rounds to 1"

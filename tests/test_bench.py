@@ -3,8 +3,8 @@
 bench/worker.py drives the package through its public API, for example
 VerificationConfig(ratio_samples=..., ratio_max=...), config.endpoint_eps and,
 in a traced round, verifier.make_m6_chain and verifier.mean_bundle, and checks
-every output of its round. A change that breaks that API or those outputs fails here, before a
-benchmark run.
+every output of its round. A change that breaks that API or those outputs
+fails here, before a benchmark run.
 """
 
 import json
