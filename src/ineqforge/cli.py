@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import itertools
 import json
+import math
 import os
 import sys
 from typing import Sequence
@@ -226,6 +227,10 @@ def _cmd_table(args: argparse.Namespace) -> tuple[int, None]:
     lo, hi = _inset(kernel.lo, kernel.hi, VerificationConfig().endpoint_eps)
     start = args.start if args.start is not None else lo
     stop = args.stop if args.stop is not None else hi
+    # An infinite span would make the grid step inf and row 0 nan.
+    for name, value in (("--start", start), ("--stop", stop), ("--stop - --start", stop - start)):
+        if not math.isfinite(value):
+            raise IneqForgeError(f"{name} must be finite, got {value!r}")
     if not start < stop:
         raise IneqForgeError(f"empty range [{start!r}, {stop!r}]")
     if args.count < 2:

@@ -279,6 +279,21 @@ def test_table_bad_range_and_count(capsys):
     assert code == 2 and "--count" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--start", "1", "--stop", "inf"], "--stop must be finite, got inf"),
+        (["--start", "nan", "--stop", "1"], "--start must be finite, got nan"),
+        (["--start=-1.7e308", "--stop=1.7e308"], "--stop - --start must be finite, got inf"),
+    ],
+    ids=["stop-inf", "start-nan", "span-overflows"],
+)
+def test_table_rejects_a_range_that_is_not_finite(capsys, argv, message):
+    code, out, err = run(capsys, "table", "sinhc", *argv, "--count", "3")
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_table_last_row_is_stop(capsys):
     # start + 25 * step rounds to 1.5707963267948968, past pi/2 and out of
     # U's domain; the last row must be stop itself

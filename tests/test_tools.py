@@ -73,3 +73,13 @@ def test_report_digest_names_leaves_by_json_path():
         sys.path.remove(str(ROOT / "tools"))
     leaves = report_digest._leaves([{"links": [{"min_margin": 0.5}], "note": None}])
     assert leaves == {"$[0].links[0].min_margin": "0.5", "$[0].note": "null"}
+
+
+def test_report_digest_counts_differing_leaves_by_key_path():
+    sys.path.insert(0, str(ROOT / "tools"))
+    try:
+        import report_digest
+    finally:
+        sys.path.remove(str(ROOT / "tools"))
+    paths = ["$[0].links[0].min_margin", "$[3].note", "$[1].links[2].min_margin"]
+    assert report_digest._key_counts(paths) == "links.min_margin 2, note 1"

@@ -6,6 +6,7 @@ acceptance tests.
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -362,11 +363,25 @@ def test_endpoint_limits_need_a_stored_limit():
         V.verify_endpoint_limits(kernel)
 
 
+@pytest.mark.parametrize(
+    "fn, message",
+    [
+        (lambda t: math.log(t - 0.5), "kernel bad: cannot evaluate bad: math domain error"),
+        (lambda t: math.nan, "kernel bad: value is not a finite real at t=0.001: nan"),
+        (lambda t: complex(t, 1.0), "kernel bad: value is not a finite real at t=0.001: (0.001+1j)"),
+    ],
+    ids=["raises", "nan", "complex"],
+)
+def test_endpoint_limits_value_failure_names_the_kernel(fn, message):
+    kernel = K.Kernel("bad", 0.0, 1.0, fn, 0.0, 1.0)
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        V.verify_endpoint_limits(kernel)
+
+
 def test_monotone_declared_direction():
     report = V.verify_monotone("sinc", config=SMALL)
     assert report["direction"] == "decreasing"
     assert report["verdict"] == "verified_numeric"
-    assert report["spot_checks_ok"] is True
 
 
 def test_monotone_wrong_direction_is_falsified():
@@ -411,10 +426,37 @@ def test_monotone_constant_kernel_is_inconclusive():
     report = V.verify_monotone(flat, config=SMALL)
     assert report["verdict"] == "inconclusive"
     assert report["net_change"] == 0.0
-    assert "witness" not in report and report["spot_checks_ok"] is True
+    assert "witness" not in report
+
+
+def test_monotone_net_change_inside_the_tie_threshold_is_inconclusive():
+    # the kernel drops by one ulp, a tie: not a wrong-way step, nor a net fall
+    def drop(t):
+        return np.where(t < 0.5, 1.0, 1.0 - 2.0**-53)
+
+    kernel = K.Kernel("drop", 0.0, 1.0, drop, 1.0, 1.0, monotone="increasing")
+    report = V.verify_monotone(kernel, config=SMALL)
+    assert report["net_change"] == -(2.0**-53)
+    assert report["verdict"] == "inconclusive"
+    assert "witness" not in report
 
 
 EDGES = VerificationConfig(samples=2 * V._BLOCK + 7)
+
+
+@pytest.mark.parametrize("config", [SMALL, EDGES])
+def test_monotone_evaluates_its_kernel_only_on_its_grid(config):
+    kernel = K.KERNELS["sinc"]
+    seen = []
+
+    def recorded(t):
+        seen.extend(np.atleast_1d(t).tolist())
+        return kernel.fn(t)
+
+    report = V.verify_monotone(dataclasses.replace(kernel, fn=recorded), config)
+    assert report["verdict"] == "verified_numeric"
+    ts = np.linspace(*V._inset(kernel.lo, kernel.hi, config.endpoint_eps), config.samples)
+    assert set(seen) == set(ts.tolist())
 
 
 @pytest.mark.parametrize("direction", ["increasing", "decreasing"])
@@ -584,11 +626,9 @@ def test_report_key_sets_are_stable(cat):
 
     monotone_keys = {
         "kernel", "direction", "verdict", "worst_step", "worst_at", "net_change",
-        "spot_checks_ok",
     }
     assert set(V.verify_monotone("sinc", config=SMALL)) == monotone_keys
     wrong_way = dataclasses.replace(K.KERNELS["sinc"], monotone="increasing")
     wrong = V.verify_monotone(wrong_way, config=SMALL)
-    assert set(wrong) == monotone_keys | {"witness", "spot_witness"}
+    assert set(wrong) == monotone_keys | {"witness"}
     assert set(wrong["witness"]) == {"t", "t_next", "value", "value_next"}
-    assert set(wrong["spot_witness"]) == {"t", "value_left", "value_right"}

@@ -9,9 +9,10 @@ checkout). Each family's reports are turned into JSON with every
 margins and configs agree bit for bit print the same lines. Given two trees,
 the tool builds each tree's reports in its own subprocess and prints, per
 family, ``same`` or the number of JSON leaves that differ with the first
-20 of their paths and both values. If building a tree's reports raises, the
-tool names the tree and the error and exits with code 2; run it on that tree
-alone for the traceback. The families:
+20 of their paths and both values, then a ``by key`` line that counts the
+differing leaves by their key path without list indices, most first. If
+building a tree's reports raises, the tool names the tree and the error and
+exits with code 2; run it on that tree alone for the traceback. The families:
 
 - suite: ``run_suite()`` at the defaults;
 - chains_probes: the packaged chains and probes at the defaults;
@@ -35,7 +36,9 @@ import hashlib
 import json
 import multiprocessing
 import random
+import re
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 
 SHOWN_DIFFS = 20
@@ -148,6 +151,13 @@ def _leaves(value, path: str = "$") -> dict[str, str]:
     return {p: leaf for sub_path, v in items for p, leaf in _leaves(v, sub_path).items()}
 
 
+def _key_counts(paths) -> str:
+    """Leaf paths counted by key path, without ``$`` and list indices, most
+    first: ``links.min_margin 2, note 1``."""
+    keys = Counter(re.sub(r"\[\d+\]", "", p).removeprefix("$").removeprefix(".") for p in paths)
+    return ", ".join(f"{key} {count}" for key, count in keys.most_common())
+
+
 def _compare(src_a: str, src_b: str) -> int:
     # One process per tree, so each imports its own ineqforge.
     spawn = multiprocessing.get_context("spawn")
@@ -168,6 +178,7 @@ def _compare(src_a: str, src_b: str) -> int:
         print(f"{name:<16} {len(paths)} leaves differ")
         for p in paths[:SHOWN_DIFFS]:
             print(f"  {p}: {a.get(p, '(missing)')} -> {b.get(p, '(missing)')}")
+        print(f"  by key: {_key_counts(paths)}")
     return 0
 
 
