@@ -9,9 +9,9 @@ clearly positive; ties never count as evidence, so a chain of identical
 members cannot pass.
 
 Each link is judged at one point: the first deepest violation if any margin
-violates, else the first smallest margin. The float recheck, golden-section
-refinement and witness all work on that point, so a falsified link's
-min_margin and argmin are its witness's margin and coordinate.
+violates, else the first smallest margin. A violating point is evaluated as
+floats again and refined, so a falsified link's min_margin and argmin are its
+witness's margin and coordinate.
 
 Every check takes its points from one grid, _Grid: numpy's linspace
 arithmetic, made one block of 4096 points at a time. Kernel chains and probes
@@ -59,10 +59,6 @@ from .means import _pair_angle, mean_bundle
 # violation nor positive evidence. The scale floor keeps the threshold from
 # collapsing when both sides are tiny.
 _TIE_REL = 1e-13
-# Grid margins from numpy sit within 0.07 tie thresholds of the float ones on
-# the packaged catalog; grid points within 0.15 of violating and of the
-# deepest violation are evaluated again as floats.
-_FLOAT_SLACK = 0.15
 # Every grid is made, evaluated and scanned in blocks of this many points, so
 # a check holds 32 KB arrays where a whole 20001-point grid takes 160 KB per
 # member and intermediate. Scanning whole grids was measured 13-27% slower per query
@@ -307,15 +303,12 @@ class _LinkScan:
     evidence a margin above +tie. The scan keeps one point with its side
     values: the first deepest violation if any margin violates, else the
     first smallest margin. It also records whether any margin is positive or
-    nonzero, and keeps the near set: the points within _FLOAT_SLACK tie
-    thresholds of violating and of the deepest violation so far, which the
-    float recheck evaluates again. A member value that is not real and
-    finite, or a failure while refining, is a DomainError naming ``where``
-    and the link. ``x_at`` maps a point's index to its coordinate.
+    nonzero. A member value that is not real and finite, or a failure while
+    refining, is a DomainError naming ``where`` and the link. ``x_at`` maps a
+    point's index to its coordinate.
 
     Every tie threshold is at least _TIE_REL, so a block whose lowest margin
-    is at least -(1 - _FLOAT_SLACK) * _TIE_REL holds no point of the near set
-    and is not searched for one; the skip is exact.
+    is at least -_TIE_REL holds no violation: skipping its search is exact.
     """
 
     def __init__(self, where: str, lhs_expr: str, rhs_expr: str, coord: str, x_at: Callable):
@@ -331,7 +324,6 @@ class _LinkScan:
         self.violating = False
         self.has_positive = False
         self.all_zero = True
-        self.near = None
 
     def _error(self, detail) -> DomainError:
         return DomainError(
@@ -360,45 +352,32 @@ class _LinkScan:
             self._take(start + j, a[j], b[j], m[j])
         self.has_positive = self.has_positive or bool((m > theta).any())
         self.all_zero = self.all_zero and not m.any()
-        if low >= -(1.0 - _FLOAT_SLACK) * _TIE_REL:
+        if low >= -_TIE_REL:
             return
-        near = np.flatnonzero(m < -(1.0 - _FLOAT_SLACK) * theta)
-        violating = near[m[near] < -theta[near]]
+        violating = np.flatnonzero(m < -theta)
         if len(violating):
             j = int(violating[np.argmin(m[violating])])
             if not self.violating or m[j] < self.margin:
                 self._take(start + j, a[j], b[j], m[j])
                 self.violating = True
-        parts = (start + near, m[near], theta[near])
-        if self.near is not None:
-            parts = tuple(np.concatenate(p) for p in zip(self.near, parts))
-        if self.violating:
-            keep = parts[1] <= self.margin + _FLOAT_SLACK * parts[2]
-            parts = tuple(p[keep] for p in parts)
-        self.near = parts
 
     def report(self, value_fn: Callable[[float], tuple[float, float]] | None) -> LinkReport:
         """The link's verdict at its one point. Given value_fn, the float sides
-        at a coordinate, a violating point is chosen again among the near set
-        as floats, and the point is refined by golden-section search, so a
-        witness has float sides; without it the grid values are reported as
-        they are. A falsified link's min_margin and argmin are its witness's."""
+        at a coordinate, a violating point is evaluated again as floats, and
+        the point is refined by golden-section search, so a witness has float
+        sides; without it the grid values are reported as they are. A
+        falsified link's min_margin and argmin are its witness's."""
         x_at = self.x_at
         idx, (ra, rb) = self.idx, self.sides
+        rx = x_at(idx)
         try:
-            if value_fn is not None and self.violating:
-                # numpy and math can differ in the last bits, enough to move
-                # the first deepest violation inside a flat valley and the
-                # refinement bracket with it. The near points are evaluated
-                # again as floats and chosen by the scan's order, as a
-                # float-only scan would have chosen.
-                near = self.near[0].tolist()
-                sides = [value_fn(x_at(i)) for i in near]
-                k = min(range(len(near)), key=lambda k: _rank(*sides[k]))
-                idx, (ra, rb) = near[k], sides[k]
-            rx = x_at(idx)
-            # Narrow dips can fall between grid nodes; refine around the point.
             if value_fn is not None:
+                if self.violating:
+                    # numpy and math can differ in the last bits, by at most
+                    # 0.07 tie thresholds on the packaged catalog; the point
+                    # stays the scan's.
+                    ra, rb = value_fn(rx)
+                # Narrow dips can fall between grid nodes; refine around the point.
                 bracket_lo = x_at(max(0, idx - 1))
                 bracket_hi = x_at(min(self.n - 1, idx + 1))
                 if bracket_hi > bracket_lo:

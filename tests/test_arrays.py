@@ -36,22 +36,18 @@ def reference_scan(lhs_vals, rhs_vals) -> dict:
 
     The scan keeps one point: the first deepest violation if any margin
     violates, else the first smallest margin. Returns the verdict, that
-    point's index as ``idx``, the margin and argmin a report shows, the step
-    of the witness, and the near set the float recheck evaluates again: the
-    points within 0.15 tie thresholds of violating and of the deepest
-    violation.
+    point's index as ``idx``, the margin and argmin a report shows, and the
+    step of the witness.
     """
     idx = -1
     rank = None
     has_positive = False
     all_zero = True
-    thetas = []
     for i in range(len(lhs_vals)):
         a = lhs_vals[i]
         b = rhs_vals[i]
         m = b - a
         theta = TIE_REL * max(1.0, abs(a), abs(b))
-        thetas.append(theta)
         if m != 0.0:
             all_zero = False
         if m > theta:
@@ -59,12 +55,7 @@ def reference_scan(lhs_vals, rhs_vals) -> dict:
         if idx < 0 or (m >= -theta, m) < rank:
             idx, rank = i, (m >= -theta, m)
     violating, margin = not rank[0], rank[1]
-    near = [
-        i for i, theta in enumerate(thetas)
-        if (m := rhs_vals[i] - lhs_vals[i]) < -(1.0 - 0.15) * theta
-        and (not violating or m <= margin + 0.15 * theta)
-    ]
-    scan = {"idx": idx, "near": near}
+    scan = {"idx": idx}
     if violating:
         return {"verdict": "falsified", "min_margin": margin, "argmin": idx, "step": idx, **scan}
     if all_zero:
@@ -86,9 +77,8 @@ def array_scan(lhs_vals, rhs_vals) -> dict:
     scan = block_scan(lhs_vals, rhs_vals)
     link = scan.report(None)
     step = None if link.witness is None else link.witness["step"]
-    near = [] if scan.near is None else scan.near[0].tolist()
     return {"verdict": link.verdict, "min_margin": link.min_margin, "argmin": link.argmin,
-            "step": step, "idx": scan.idx, "near": near}
+            "step": step, "idx": scan.idx}
 
 
 # Values and margins chosen to hit exact ties, margins of exactly +-tie
@@ -124,8 +114,8 @@ def test_array_scan_matches_float_loop_across_blocks(points):
     assert array_scan(lhs, rhs) == reference_scan(lhs, rhs)
 
 
-# Margins in and around the float-recheck slack (0.15 tie thresholds) of a
-# violating minimum near -1e-3, besides ties and shallow violations.
+# Margins within a few tie thresholds of a violating minimum near -1e-3,
+# besides ties and shallow violations.
 _NEAR_MARGIN = st.sampled_from(
     [-1e-3, -1e-3 + 1e-14, -1e-3 + 1.5e-14, -1e-3 + 3e-14, -1e-3 - 1e-14, -1e-3 - 2e-14,
      0.0, 1e-13, -1e-13, -1.1e-13, -2e-13, 5e-14, 1e-3]
@@ -138,9 +128,9 @@ _EDGE = st.sampled_from([0, 1, 2, 3, V._BLOCK - 1, V._BLOCK - 2])
     st.sampled_from([1e-3, 2e-13, 0.0]),
     st.lists(st.tuples(st.integers(0, 3), _EDGE, _LHS, _NEAR_MARGIN), max_size=14),
 )
-def test_block_skips_keep_the_near_set_and_the_violation(background, points):
+def test_block_skips_keep_the_violation(background, points):
     # minima, ties and violations planted at block edges, so that later blocks
-    # move the deepest violation, add near points to an unmoved one, or are
+    # move the deepest violation, add shallower ones to an unmoved one, or are
     # skipped
     n = 3 * V._BLOCK + 17
     lhs = [0.5] * n
@@ -150,7 +140,7 @@ def test_block_skips_keep_the_near_set_and_the_violation(background, points):
         lhs[i], rhs[i] = a, a + m
     got = array_scan(lhs, rhs)
     want = reference_scan(lhs, rhs)
-    assert (got["near"], got["idx"]) == (want["near"], want["idx"])
+    assert got["idx"] == want["idx"]
     assert got == want
 
 
@@ -160,7 +150,6 @@ def test_array_scan_takes_first_of_repeated_minima():
     got = array_scan(lhs, rhs)
     assert got == reference_scan(lhs, rhs)
     assert got["argmin"] == got["step"] == got["idx"] == 1
-    assert got["near"] == [1, 3, 4]
 
 
 def test_array_scan_puts_a_violation_before_a_lower_tie():
@@ -171,18 +160,6 @@ def test_array_scan_puts_a_violation_before_a_lower_tie():
     got = array_scan(lhs, rhs)
     assert got == reference_scan(lhs, rhs)
     assert got["min_margin"] == -1e-3 and got["argmin"] == got["step"] == 2
-    assert got["near"] == [2]
-
-
-def test_near_set_keeps_its_boundary():
-    # tie threshold 1e-13 at every point: a margin of exactly the deepest
-    # violation plus 0.15 thresholds is near, one ulp above it is not
-    edge = -1e-3 + 0.15 * 1e-13
-    lhs = [0.0] * 4
-    rhs = [edge, -1e-3, np.nextafter(edge, 0.0).item(), edge]
-    got = array_scan(lhs, rhs)
-    assert got == reference_scan(lhs, rhs)
-    assert got["near"] == [0, 1, 3]
 
 
 @pytest.mark.parametrize("kid", list(K.KERNELS))
@@ -497,11 +474,12 @@ def test_flat_valley_witness_is_the_float_scan_one():
     assert report.witness == {"t": x, "lhs": a, "rhs": b, "margin": b - a}
 
 
-def test_float_recheck_covers_a_flat_valley_of_any_width():
+def test_flat_valley_witness_is_float_and_within_a_tie_of_the_lowest():
     # t against exp(log(t)) - 1e-3 violates by 1e-3 everywhere, with
-    # last-bit noise that differs between numpy and math, so every grid
-    # point lies in the near set of the minimum. The witness must still be
-    # the one a float-only scan and refinement give.
+    # last-bit noise that differs between numpy and math, so the valley holds
+    # many grid points within one tie threshold of its lowest float margin.
+    # The witness must re-evaluate as floats and be within one tie threshold
+    # of that lowest margin.
     cfg = V.VerificationConfig(samples=2001)
     chain = C._build_chain(
         {"id": "flat", "kind": "kernel", "domain": ["1", "2"],
@@ -510,19 +488,16 @@ def test_float_recheck_covers_a_flat_valley_of_any_width():
     report = V.verify_chain(chain, cfg)
     lf, rf = chain.member_fns
     ts = np.linspace(*V._inset(*chain.domain, cfg.endpoint_eps), cfg.samples).tolist()
-    lhs = [lf(t) for t in ts]
-    rhs = [rf(t) for t in ts]
-    margins = [b - a for a, b in zip(lhs, rhs)]
+    margins = [rf(t) - lf(t) for t in ts]
     lowest = min(margins)
-    near = sum(m <= lowest + 0.15 * TIE_REL * max(1.0, abs(a), abs(b))
-               for m, a, b in zip(margins, lhs, rhs))
-    assert near > 64
-    i = reference_scan(lhs, rhs)["argmin"]
-    refined = V._golden_refine(
-        lambda t: (lf(t), rf(t)), ts[max(i - 1, 0)], ts[min(i + 1, cfg.samples - 1)]
-    )
-    x, a, b = min([(ts[i], lhs[i], rhs[i]), refined], key=lambda c: c[2] - c[1])
-    assert report.links[0].witness == {"t": x, "lhs": a, "rhs": b, "margin": b - a}
+    # the lhs is t, the larger side, so a point's tie threshold is 1e-13 * t
+    assert sum(m <= lowest + TIE_REL * t for m, t in zip(margins, ts)) > 64
+    w = report.links[0].witness
+    a, b = lf(w["t"]), rf(w["t"])
+    tie = TIE_REL * max(1.0, abs(a), abs(b))
+    assert w == {"t": w["t"], "lhs": a, "rhs": b, "margin": b - a}
+    assert w["margin"] < -tie
+    assert abs(w["margin"] - lowest) <= tie
 
 
 def test_deepest_violation_witness_has_float_sides():
