@@ -539,6 +539,7 @@ def probe_sharpness(probe: Probe | str, config: VerificationConfig | None = None
     is expected to break where the original was sharp, and a global scan
     would report whichever violation happens to be deepest instead of the
     one the probe is about. Verdict "falsified" means the probe succeeded.
+    An epsilon too small to move the constant is a DomainError.
     """
     cfg = config or VerificationConfig()
     if isinstance(probe, str):
@@ -546,6 +547,11 @@ def probe_sharpness(probe: Probe | str, config: VerificationConfig | None = None
     start = time.perf_counter()
     offset = cfg.epsilon if probe.direction == "+" else -cfg.epsilon
     parameter = probe.base_value + offset
+    if parameter == probe.base_value:
+        raise DomainError(
+            f"epsilon={cfg.epsilon!r} is too small for probe {probe.id}: "
+            f"its constant {probe.base_value!r} does not move"
+        )
     rlo, rhi = _probe_interval(probe, cfg)
     (link,) = _check_links(
         f"probe {probe.id}",
@@ -630,7 +636,9 @@ def verify_monotone(kernel: kernels.Kernel | str, config: VerificationConfig | N
     Accepts a Kernel or a kernel id resolved against the registry.
     Consecutive grid differences must never point the wrong way beyond the
     tie threshold, and the net change must agree. A wrong-way grid step is
-    reported as the witness: the deepest one, which sits at worst_at.
+    reported as the witness: the deepest one, which sits at worst_at. If only
+    the net change points the wrong way, the witness is the grid's first and
+    last points.
     """
     k = kernels.get_kernel(kernel) if isinstance(kernel, str) else kernel
     kernel_id = k.id
@@ -664,10 +672,14 @@ def verify_monotone(kernel: kernels.Kernel | str, config: VerificationConfig | N
         t, t_next = grid.at(i), grid.at(i + 1)
         witness = {"t": t, "t_next": t_next, "value": value, "value_next": value_next}
 
-    # The net change is judged as one more step, from the first value to the last.
+    # The net change is judged as one more step, from the first value to the
+    # last; if only it falsifies the kernel, it is the witness.
     last = values[-1].item()
     net_change = sign * (last - first)
-    if witness is not None or _violates(*(first, last)[::sign]):
+    if witness is None and _violates(*(first, last)[::sign]):
+        t, t_next = grid.at(0), grid.at(grid.n - 1)
+        witness = {"t": t, "t_next": t_next, "value": first, "value_next": last}
+    if witness is not None:
         verdict = "falsified"
     elif link.verdict != "verified_numeric":
         verdict = "inconclusive"

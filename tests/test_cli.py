@@ -157,6 +157,14 @@ def test_sharpness_non_real_member_value_exits_two(capsys):
     assert "error:" in err and "M1-upper" in err
 
 
+def test_sharpness_epsilon_too_small_to_move_the_constant_exits_2(capsys):
+    code, out, err = run(capsys, "sharpness", "M6a-q", "--epsilon", "1e-300", *FAST)
+    assert code == 2 and out == ""
+    assert err == (
+        "error: epsilon=1e-300 is too small for probe M6a-q: its constant 1.2 does not move\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [

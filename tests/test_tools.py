@@ -14,6 +14,7 @@ DIGEST_FAMILIES = [
     ("m6", 69),
     ("means", 80),
     ("flipped", 165),
+    ("flipped_dense", 165),
     ("monotone_flipped", 92),
 ]
 

@@ -164,6 +164,60 @@ def test_flipped_falsified_links_report_their_witness(cat):
     assert wrong == []
 
 
+def _witness_problem(w: dict, a: float, b: float) -> str | None:
+    """What is wrong with a witness whose members give a and b as floats at
+    its coordinate: its sides must be those floats, its margin their difference,
+    and that margin must be below -tie."""
+    if (w["lhs"], w["rhs"]) != (a, b):
+        return f"sides {w['lhs']!r}, {w['rhs']!r} re-evaluate as {a!r}, {b!r}"
+    if w["margin"] != b - a:
+        return f"margin {w['margin']!r} is not rhs - lhs = {b - a!r}"
+    if not w["margin"] < -1e-13 * max(1.0, abs(a), abs(b)):
+        return f"margin {w['margin']!r} is not below -tie"
+    return None
+
+
+def test_every_witness_re_evaluates_as_floats(cat):
+    # Each witness is reproducible from the report alone: the members called
+    # on floats at its coordinate give its sides bit for bit. Mean members
+    # read the full mean bundle of the pair (ratio, 1).
+    cfg = VerificationConfig(samples=2001, ratio_samples=2001)
+    checked, wrong = 0, []
+    for chain in cat.chains.values():
+        for i in range(len(chain.members) - 1):
+            flipped = C.flipped_catalog(cat, chain.id, i).get_chain(chain.id)
+            coord = "t" if flipped.kind == "kernel" else "ratio"
+            for j, link in enumerate(V.verify_chain(flipped, cfg).links):
+                if link.witness is None:
+                    continue
+                x = link.witness[coord]
+                if flipped.kind == "mean":
+                    bundle = M.mean_bundle(x, 1.0)
+                    args = [bundle[v] for v in C.MEAN_VARS]
+                else:
+                    args = [x]
+                a, b = flipped.member_fns[j](*args), flipped.member_fns[j + 1](*args)
+                problem = _witness_problem(link.witness, a, b)
+                if problem:
+                    wrong.append(f"{chain.id} flipped at {i}, link {j}: {problem}")
+                checked += 1
+    probe_reports = [(p, V.probe_sharpness(p).to_dict()) for p in cat.probes.values()]
+    for case in V.theorem_m6_iff_suite()["cases"]:
+        probe_reports += zip(C.m6_probe_specs(case["p"]), case["probes"])
+    for probe, report in probe_reports:
+        w = report.get("witness")
+        if w is None:
+            continue
+        p, t = report["parameter"], w["t"]
+        problem = _witness_problem(w, probe.lhs_fn(p, t), probe.rhs_fn(p, t))
+        if problem:
+            wrong.append(f"probe {report['probe']}: {problem}")
+        checked += 1
+    # 165 flipped links, 12 packaged probes and the 10 regime probes
+    assert wrong == []
+    assert checked == 165 + 12 + 10
+
+
 # --- mean chains ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("cid", ["M1c-i1", "M2a-i2", "M23c-i1", "M6a-i"])
@@ -322,6 +376,15 @@ def test_probe_off_nominal_parameter_does_not_falsify(cat):
     assert report.verdict == "falsified"
 
 
+def test_probe_epsilon_too_small_to_move_the_constant_is_an_error(cat):
+    probe = cat.get_probe("M1-lower")
+    assert probe.base_value == 2.0 / 3.0
+    config = VerificationConfig(samples=801, epsilon=1e-17)
+    message = "epsilon=1e-17 is too small for probe M1-lower: its constant 0.6666666666666666"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)} does not move$"):
+        V.probe_sharpness(probe, config)
+
+
 # --- endpoint limits and monotonicity ----------------------------------------------------
 
 def test_endpoint_limits_all_registered_kernels():
@@ -439,6 +502,27 @@ def test_monotone_net_change_inside_the_tie_threshold_is_inconclusive():
     assert report["net_change"] == -(2.0**-53)
     assert report["verdict"] == "inconclusive"
     assert "witness" not in report
+
+
+def test_monotone_net_change_alone_is_the_witness():
+    # the kernel drops 5e-14 per step, a tie, and 4e-11 in all: only the net
+    # change falsifies it, so the witness is the grid's first and last points
+    def drift(t):
+        return 1.0 - 4e-11 * t
+
+    kernel = K.Kernel("drift", 0.0, 1.0, drift, None, None, monotone="increasing")
+    report = V.verify_monotone(kernel, config=SMALL)
+    ts = np.linspace(*V._inset(kernel.lo, kernel.hi, SMALL.endpoint_eps), SMALL.samples)
+    values = drift(ts)
+    assert report["verdict"] == "falsified"
+    assert report["worst_step"] > -1e-13
+    assert report["witness"] == {
+        "t": ts[0].item(),
+        "t_next": ts[-1].item(),
+        "value": values[0].item(),
+        "value_next": values[-1].item(),
+    }
+    assert report["net_change"] == (values[-1] - values[0]).item()
 
 
 EDGES = VerificationConfig(samples=2 * V._BLOCK + 7)

@@ -20,6 +20,7 @@ exits with code 2; run it on that tree alone for the traceback. The families:
 - m6: ``theorem_m6_iff_suite`` over the fixed exponents and seeded ones;
 - means: the mean chains at 20001 ratio samples for five ratio_max values;
 - flipped: every chain with each link flipped, at 2001 samples;
+- flipped_dense: the same flipped chains at the defaults;
 - monotone_flipped: the monotone check of every kernel with a declared
   direction, with that direction flipped and as declared, at 2001 and 20001
   samples. The flipped runs reach the check's falsified path.
@@ -91,14 +92,14 @@ def _families(catalog, kernels, verifier):
         if c.kind == "mean"
         for config in dense
     ]
-    small = cfg(samples=2001, ratio_samples=2001)
-    yield "flipped", [
-        verifier.verify_chain(
-            catalog.flipped_catalog(cat, c.id, i).get_chain(c.id), small
-        ).to_dict()
+    flipped = [
+        catalog.flipped_catalog(cat, c.id, i).get_chain(c.id)
         for c in chains
         for i in range(len(c.members) - 1)
     ]
+    small = cfg(samples=2001, ratio_samples=2001)
+    yield "flipped", [verifier.verify_chain(c, small).to_dict() for c in flipped]
+    yield "flipped_dense", [verifier.verify_chain(c).to_dict() for c in flipped]
     yield "monotone_flipped", [
         report
         for kernel in kernels.KERNELS.values()
