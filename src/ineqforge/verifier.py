@@ -9,9 +9,9 @@ clearly positive; ties never count as evidence, so a chain of identical
 members cannot pass.
 
 Each link is judged at one point: the first deepest violation if any margin
-violates, else the first smallest margin. A violating point is evaluated as
-floats again and refined, so a falsified link's min_margin and argmin are its
-witness's margin and coordinate.
+violates, else the first smallest margin. Refinement starts there, from the
+float sides if it violates, so a falsified link's min_margin and argmin are
+its witness's margin and coordinate.
 
 Every check takes its points from one grid, _Grid: numpy's linspace
 arithmetic, made one block of 4096 points at a time. Kernel chains and probes
@@ -672,8 +672,7 @@ def verify_monotone(kernel: kernels.Kernel | str, config: VerificationConfig | N
         t, t_next = grid.at(i), grid.at(i + 1)
         witness = {"t": t, "t_next": t_next, "value": value, "value_next": value_next}
 
-    # The net change is judged as one more step, from the first value to the
-    # last; if only it falsifies the kernel, it is the witness.
+    # The net change is judged as one more step, from the first value to the last.
     last = values[-1].item()
     net_change = sign * (last - first)
     if witness is None and _violates(*(first, last)[::sign]):
