@@ -21,10 +21,11 @@ Each mean is held inside [min(x, y), max(x, y)].
 
 mean_bundle and weighted_power_mean also take numpy arrays (either
 argument, or both) and evaluate them elementwise, as the kernels do.
-mean_bundle computes only the kinds it is asked for: L and I, the arcsine
-family P, X, J and the arctangent family T, B, K are each skipped unless one
-of their members is named, and no value depends on what else is asked for.
-So a mean chain computes only the means it reads.
+mean_bundle computes only the kinds it is asked for: A, G and u are always
+formed; L and I, the arcsine family P, X, J and the arctangent family T, B,
+K are each skipped unless one of their members is named, and Q unless it or
+the arctangent family, which reads it, is. No value depends on what else is
+asked for, so a mean chain computes only the means it reads.
 
 The angle t = arcsin or arctan of (x-y)/(x+y) has one formula, _angle: P
 and T divide by it, and the two substitutions and the verifier's twin
@@ -207,12 +208,15 @@ def _log_identric(x, y, a, g, u):
 
 
 def _bundle_values(x, y, kinds) -> list:
-    """The means ``kinds`` of a valid pair, in that order, unclamped. A, G, Q
-    and u are always formed; L with I and each arc family only on demand."""
+    """The means ``kinds`` of a valid pair, in that order, unclamped. A, G and
+    u are always formed; Q only for itself or the arctangent family, which
+    reads it, and L with I and each arc family only on demand."""
     a, g, u = _agu(x, y)
-    q = _xp(x, y).hypot(0.5 * x, 0.5 * y) / (0.5 * _SQRT2)  # halves: no overflow
-    values = {"A": a, "G": g, "Q": q}
+    values = {"A": a, "G": g}
     wanted = set(kinds)
+    if not wanted.isdisjoint(("Q", *_ARCTAN_KINDS)):
+        q = _xp(x, y).hypot(0.5 * x, 0.5 * y) / (0.5 * _SQRT2)  # halves: no overflow
+        values["Q"] = q
     if not wanted.isdisjoint(("L", "I")):
         values["L"], values["I"] = _log_identric(x, y, a, g, u)
     near = abs(u) < _NEAR_DEGENERATE

@@ -171,14 +171,14 @@ def _on_block(where: str, expr: str, fn: Callable, *args):
 
     A float64 array of the block's length is returned as it is, a constant
     member's float fills the block and a value that is not real becomes nan.
-    numpy's floating-point warnings are silenced: _LinkScan reports every
-    non-finite value as a DomainError naming the link. An error raised by fn
-    is a DomainError naming the check ``where`` and fn's expression ``expr``.
+    The caller silences numpy's floating-point warnings, once per check:
+    _LinkScan reports every non-finite value as a DomainError naming the
+    link. An error raised by fn is a DomainError naming the check ``where``
+    and fn's expression ``expr``.
     """
     np = _np()
     n = max(len(a) for a in args if isinstance(a, np.ndarray))
-    with np.errstate(all="ignore"):
-        values = _evaluate(where, expr, fn, *args)
+    values = _evaluate(where, expr, fn, *args)
     if isinstance(values, np.ndarray) and values.dtype == np.float64 and values.shape == (n,):
         return values
     if np.iscomplexobj(values):
@@ -334,24 +334,34 @@ class _LinkScan:
         self.idx, self.margin, self.sides = idx, m.item(), (a.item(), b.item())
 
     def add(self, a, b) -> None:
-        """Scan the next block of side values."""
+        """Scan the next block of side values, with numpy's floating-point
+        warnings silenced by the caller. The tie thresholds are formed only
+        where they can still change the report: while no margin is positive,
+        for a block whose lowest margin is below -_TIE_REL, and for the
+        finiteness check when the margins' sum is not finite; a finite sum
+        proves every side value finite."""
         np = _np()
         start = self.n
         self.n += len(a)
-        theta = np.maximum(np.abs(a), np.abs(b))
-        np.maximum(theta, 1.0, out=theta)
-        theta *= _TIE_REL
-        finite = np.isfinite(theta)
-        if not finite.all():
-            x = self.x_at(start + int(np.argmin(finite)))
-            raise self._error(f"member value is not a finite real at {self.coord}={x!r}")
         m = b - a
         j = int(np.argmin(m))
         low = m[j].item()
+        finite = math.isfinite(m.sum())
+        if not (finite and self.has_positive and low >= -_TIE_REL):
+            theta = np.maximum(np.abs(a), np.abs(b))
+            np.maximum(theta, 1.0, out=theta)
+            theta *= _TIE_REL
+        if not finite:
+            ok = np.isfinite(theta)
+            if not ok.all():
+                x = self.x_at(start + int(np.argmin(ok)))
+                raise self._error(f"member value is not a finite real at {self.coord}={x!r}")
         if not self.violating and (self.idx < 0 or low < self.margin):
             self._take(start + j, a[j], b[j], m[j])
-        self.has_positive = self.has_positive or bool((m > theta).any())
-        self.all_zero = self.all_zero and not m.any()
+        if not self.has_positive:
+            self.has_positive = bool((m > theta).any())
+        if self.all_zero:
+            self.all_zero = not m.any()
         if low >= -_TIE_REL:
             return
         violating = np.flatnonzero(m < -theta)
@@ -420,14 +430,20 @@ def _check_links(
     refined: a chain, or a probe as a two-member chain. The members take the
     point ``coord`` or a block of them, or what ``args`` maps it to."""
     scans = [_LinkScan(where, lhs, rhs, coord, grid.at) for lhs, rhs in zip(names, names[1:])]
-    for block in grid.blocks():
-        vec = (block,) if args is None else args(block)
-        values = [_on_block(where, name, fn, *vec) for name, fn in zip(names, fns)]
-        for scan, lhs_vals, rhs_vals in zip(scans, values, values[1:]):
-            scan.add(lhs_vals, rhs_vals)
+    with _np().errstate(all="ignore"):
+        for block in grid.blocks():
+            vec = (block,) if args is None else args(block)
+            values = [_on_block(where, name, fn, *vec) for name, fn in zip(names, fns)]
+            for scan, lhs_vals, rhs_vals in zip(scans, values, values[1:]):
+                scan.add(lhs_vals, rhs_vals)
+
+    # Links that meet at a refinement point share its arguments, made once.
+    memo: dict[float, list] = {}
 
     def value_fn(lf: Callable, rf: Callable, x: float) -> tuple[float, float]:
-        vec = args(x)
+        vec = memo.get(x)
+        if vec is None:
+            vec = memo[x] = args(x)
         return lf(*vec), rf(*vec)
 
     # Members of the point itself are called directly: every refinement step calls them.
@@ -656,11 +672,12 @@ def verify_monotone(kernel: kernels.Kernel | str, config: VerificationConfig | N
     # in one block. Steps are not refined.
     names = ("f(t_i)", "f(t_i+1)")[::sign]
     scan = _LinkScan(where, *names, "t", grid.at)
-    for block in grid.blocks(shared=True):
-        values = _on_block(where, kernel_id, k.fn, block)
-        if scan.n == 0:
-            first = values[0].item()
-        scan.add(*(values[:-1], values[1:])[::sign])
+    with _np().errstate(all="ignore"):
+        for block in grid.blocks(shared=True):
+            values = _on_block(where, kernel_id, k.fn, block)
+            if scan.n == 0:
+                first = values[0].item()
+            scan.add(*(values[:-1], values[1:])[::sign])
     link = scan.report(None)
     i = scan.idx
     value, value_next = scan.sides[::sign]
