@@ -215,8 +215,7 @@ def _bundle_values(x, y, kinds) -> list:
     values = {"A": a, "G": g}
     wanted = set(kinds)
     if not wanted.isdisjoint(("Q", *_ARCTAN_KINDS)):
-        q = _xp(x, y).hypot(0.5 * x, 0.5 * y) / (0.5 * _SQRT2)  # halves: no overflow
-        values["Q"] = q
+        values["Q"] = _xp(x, y).hypot(0.5 * x, 0.5 * y) / (0.5 * _SQRT2)  # halves: no overflow
     if not wanted.isdisjoint(("L", "I")):
         values["L"], values["I"] = _log_identric(x, y, a, g, u)
     near = abs(u) < _NEAR_DEGENERATE
@@ -224,7 +223,7 @@ def _bundle_values(x, y, kinds) -> list:
         arcsin = _piecewise(near, _arcsin_near_diagonal, _arcsin_means, a, g, u)
         values.update(zip(_ARCSIN_KINDS, arcsin))
     if not wanted.isdisjoint(_ARCTAN_KINDS):
-        arctan = _piecewise(near, _arctan_near_diagonal, _arctan_means, a, q, u)
+        arctan = _piecewise(near, _arctan_near_diagonal, _arctan_means, a, values["Q"], u)
         values.update(zip(_ARCTAN_KINDS, arctan))
     return [values[k] for k in kinds]
 

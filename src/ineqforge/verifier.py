@@ -437,13 +437,12 @@ def _check_links(
             for scan, lhs_vals, rhs_vals in zip(scans, values, values[1:]):
                 scan.add(lhs_vals, rhs_vals)
 
-    # Links that meet at a refinement point share its arguments, made once.
-    memo: dict[float, list] = {}
+    # Links that meet at a refinement point share its arguments, made once
+    # per check.
+    point_args = None if args is None else functools.cache(args)
 
     def value_fn(lf: Callable, rf: Callable, x: float) -> tuple[float, float]:
-        vec = memo.get(x)
-        if vec is None:
-            vec = memo[x] = args(x)
+        vec = point_args(x)
         return lf(*vec), rf(*vec)
 
     # Members of the point itself are called directly: every refinement step calls them.
@@ -539,12 +538,20 @@ def verify_chain(chain: Chain | str, config: VerificationConfig | None = None) -
 
 
 def _probe_interval(probe: Probe, config: VerificationConfig) -> tuple[float, float]:
+    """The probe's region, the first eighth or the last tenth of its domain,
+    within the inset domain; an endpoint_eps that leaves none of it is a
+    DomainError."""
     lo, hi = probe.domain
     span = hi - lo
     glo, ghi = _inset(lo, hi, config.endpoint_eps)
-    if probe.region == "near_zero":
-        return glo, min(ghi, lo + span / 8.0)
-    return max(glo, hi - span / 10.0), ghi
+    region = (lo, lo + span / 8.0) if probe.region == "near_zero" else (hi - span / 10.0, hi)
+    rlo, rhi = max(glo, region[0]), min(ghi, region[1])
+    if not rlo < rhi:
+        raise DomainError(
+            f"endpoint_eps={config.endpoint_eps!r} is too large for probe {probe.id}: "
+            f"it leaves no point of its {probe.region} region [{region[0]!r}, {region[1]!r}]"
+        )
+    return rlo, rhi
 
 
 def probe_sharpness(probe: Probe | str, config: VerificationConfig | None = None) -> ProbeReport:

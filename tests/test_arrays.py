@@ -13,6 +13,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -160,6 +161,54 @@ def test_array_scan_puts_a_violation_before_a_lower_tie():
     got = array_scan(lhs, rhs)
     assert got == reference_scan(lhs, rhs)
     assert got["min_margin"] == -1e-3 and got["argmin"] == got["step"] == 2
+
+
+def quiet_scan(lhs_vals, rhs_vals) -> dict:
+    """array_scan with numpy's floating-point warnings silenced, as every
+    check scans, and any other warning an error."""
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return array_scan(lhs_vals, rhs_vals)
+
+
+@pytest.mark.parametrize("at", [3, V._BLOCK + 5])
+@pytest.mark.parametrize(
+    "bad",
+    [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, -math.inf),
+     (math.inf, math.inf), (-math.inf, -math.inf), (math.inf, -math.inf)],
+    ids=["nan-lhs", "nan-rhs", "inf-lhs", "minus-inf-rhs", "inf-both", "minus-inf-both",
+         "inf-minus-inf"],
+)
+def test_scan_names_the_first_non_finite_side(bad, at):
+    # in the first block, before any positive margin, and in a later block,
+    # after one; a second bad point further on is not the one named
+    n = 2 * V._BLOCK + 9
+    lhs, rhs = [0.5] * n, [0.5 + 1e-3] * n
+    lhs[at], rhs[at] = bad
+    lhs[at + 2], rhs[at + 2] = math.nan, math.nan
+    message = f"scan: cannot assess lhs < rhs: member value is not a finite real at step={at}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        quiet_scan(lhs, rhs)
+
+
+@pytest.mark.parametrize(
+    "points, verdict, min_margin",
+    [
+        ([(-1e308, 1e308)], "verified_numeric", 1e-3),
+        ([(1e308, -1e308)], "falsified", -math.inf),
+        ([(-1e308, 1e308), (1e308, -1e308)], "falsified", -math.inf),
+    ],
+)
+def test_scan_takes_a_margin_that_overflows_from_finite_sides(points, verdict, min_margin):
+    # finite sides are not rejected, though b - a is +-inf; a sum of such
+    # margins may be nan
+    n = V._BLOCK + 9
+    lhs, rhs = [0.0] * n, [1e-3] * n
+    for i, (a, b) in enumerate(points):
+        lhs[V._BLOCK + i], rhs[V._BLOCK + i] = a, b
+    got = quiet_scan(lhs, rhs)
+    assert got == reference_scan(lhs, rhs)
+    assert (got["verdict"], got["min_margin"]) == (verdict, min_margin)
 
 
 @pytest.mark.parametrize("kid", list(K.KERNELS))

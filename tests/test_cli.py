@@ -165,6 +165,15 @@ def test_sharpness_epsilon_too_small_to_move_the_constant_exits_2(capsys):
     )
 
 
+def test_sharpness_endpoint_eps_that_empties_the_region_exits_2(capsys):
+    code, out, err = run(capsys, "sharpness", "M1-upper", "--endpoint-eps", "0.11", *FAST)
+    assert code == 2 and out == ""
+    assert err == (
+        "error: endpoint_eps=0.11 is too large for probe M1-upper: it leaves no point of "
+        "its near_right region [1.413716694115407, 1.5707963267948966]\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 DIGEST_FAMILIES = [
@@ -84,3 +86,45 @@ def test_report_digest_counts_differing_leaves_by_key_path():
         sys.path.remove(str(ROOT / "tools"))
     paths = ["$[0].links[0].min_margin", "$[3].note", "$[1].links[2].min_margin"]
     assert report_digest._key_counts(paths) == "links.min_margin 2, note 1"
+
+
+def _bench_run(workload, seed, pair, side, value, correct=True):
+    """A run record of tools/bench_pairs.py with every metric at ``value``."""
+    metrics = {name: {"value": value, "unit": "ms"} for name in
+               ("setup_s", "wall_s", "query_p50_ms", "query_tail_ms", "peak_rss_mb")}
+    result = {"correct": correct, "attempted": 10, "failed": 0 if correct else 1,
+              "metrics": metrics, "host": "host: nproc 2, cpu X, python 3.11.7"}
+    return {"workload": workload, "seed": seed, "pair": pair, "side": side, "result": result}
+
+
+def test_bench_pairs_summarizes_alternating_pairs():
+    sys.path.insert(0, str(ROOT / "tools"))
+    try:
+        import bench_pairs
+    finally:
+        sys.path.remove(str(ROOT / "tools"))
+    parent = [3.0, 1.0, 4.0, 1.5, 5.0]
+    change = [2.0, 1.0, 3.0, 2.5, 4.0]  # won 3, tied 1, lost 1
+    runs = []
+    for pair, (p, c) in enumerate(zip(parent, change), start=1):
+        seed = 6 + pair
+        order = [("parent", p), ("change", c)] if pair % 2 else [("change", c), ("parent", p)]
+        runs += [_bench_run("means_dense", seed, pair, side, v, correct=(side, pair) != ("change", 4))
+                 for side, v in order]
+    summary = bench_pairs.summarize(runs, 30.0, "abc", "def")
+    assert (summary["parent_commit"], summary["change_commit"], summary["seconds"]) == ("abc", "def", 30.0)
+    w = summary["workloads"]["means_dense"]
+    assert w["seeds"] == [7, 8, 9, 10, 11] and w["pairs"] == 5
+    assert w["host"] == ["host: nproc 2, cpu X, python 3.11.7"]
+    assert w["first_side"] == {"7": "parent", "8": "change", "9": "parent", "10": "change", "11": "parent"}
+    assert w["correct"] == {"parent": True, "change": False}
+    assert w["failed"] == {"parent": 0, "change": 1}
+    assert w["attempted"] == {"parent": 50, "change": 50}
+    m = w["metrics"]["query_p50_ms"]
+    # quantiles(n=4) of 1, 1.5, 3, 4, 5 are 1.25, 3 and 4.5
+    assert (m["parent_median"], m["change_median"], m["parent_iqr"]) == (3.0, 2.5, 3.25)
+    assert m["change_pct"] == (2.5 - 3.0) / 3.0 * 100.0
+    assert (m["pairs_won"], m["pairs_lost"]) == (3, 1)
+    assert (m["parent_runs"], m["change_runs"]) == (parent, change)
+    with pytest.raises(ValueError, match="every pair needs one parent and one change run"):
+        bench_pairs.summarize(runs[:-1], 30.0)

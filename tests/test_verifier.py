@@ -120,6 +120,23 @@ def test_tie_band_chain_is_inconclusive():
     assert "tie threshold" in report.links[0].note
 
 
+def test_chain_whose_margin_overflows_warns_nothing():
+    # finite members 2e308 apart: the margin b - a overflows to inf inside the
+    # scan, where the check silences numpy's warnings; any RuntimeWarning
+    # would fail this test
+    chain = C._build_chain(
+        {
+            "id": "far",
+            "kind": "kernel",
+            "domain": ["0.5", "1.0"],
+            "members": ["-1e308", "1e308"],
+        }
+    )
+    report = V.verify_chain(chain, SMALL)
+    assert report.verdict == "verified_numeric"
+    assert report.links[0].min_margin == math.inf
+
+
 def test_flipped_link_is_falsified_and_named(cat):
     original = cat.get_chain("M1")
     flipped = C.flipped_catalog(cat, "M1", 1)
@@ -131,37 +148,6 @@ def test_flipped_link_is_falsified_and_named(cat):
     assert named == {original.members[1], original.members[2]}
     assert bad[0].witness is not None
     assert bad[0].witness["margin"] < 0.0
-
-
-def test_flipped_falsified_links_report_their_witness(cat):
-    # Every falsified link of every flipped chain is judged at its witness:
-    # argmin and min_margin are the witness's, and the witness violates by
-    # more than the tie threshold when the members are called on floats.
-    cfg = VerificationConfig(samples=2001, ratio_samples=2001)
-    checked, wrong = 0, []
-    for chain in cat.chains.values():
-        for i in range(len(chain.members) - 1):
-            flipped = C.flipped_catalog(cat, chain.id, i).get_chain(chain.id)
-            for j, link in enumerate(V.verify_chain(flipped, cfg).links):
-                w = link.witness
-                if link.verdict != "falsified" or w is None:
-                    continue
-                if flipped.kind == "mean":
-                    x = w["ratio"]
-                    bundle = M.mean_bundle(*w["pair"])
-                    args = [bundle[v] for v in C.MEAN_VARS]
-                else:
-                    x = w["t"]
-                    args = [x]
-                a = flipped.member_fns[j](*args)
-                b = flipped.member_fns[j + 1](*args)
-                if (link.argmin, link.min_margin) != (x, w["margin"]) or not (
-                    b - a < -1e-13 * max(1.0, abs(a), abs(b))
-                ):
-                    wrong.append(f"{chain.id} flipped at {i}, link {j}")
-                checked += 1
-    assert checked >= 165
-    assert wrong == []
 
 
 def _witness_problem(w: dict, a: float, b: float) -> str | None:
@@ -180,7 +166,9 @@ def _witness_problem(w: dict, a: float, b: float) -> str | None:
 def test_every_witness_re_evaluates_as_floats(cat):
     # Each witness is reproducible from the report alone: the members called
     # on floats at its coordinate give its sides bit for bit. Mean members
-    # read the full mean bundle of the pair (ratio, 1).
+    # read the full mean bundle of the pair (ratio, 1). Every falsified link
+    # of every flipped chain is judged at its witness: argmin and min_margin
+    # are the witness's.
     cfg = VerificationConfig(samples=2001, ratio_samples=2001)
     checked, wrong = 0, []
     for chain in cat.chains.values():
@@ -188,18 +176,24 @@ def test_every_witness_re_evaluates_as_floats(cat):
             flipped = C.flipped_catalog(cat, chain.id, i).get_chain(chain.id)
             coord = "t" if flipped.kind == "kernel" else "ratio"
             for j, link in enumerate(V.verify_chain(flipped, cfg).links):
-                if link.witness is None:
+                w = link.witness
+                if w is None:
                     continue
-                x = link.witness[coord]
+                x = w[coord]
+                name = f"{chain.id} flipped at {i}, link {j}"
+                if (link.argmin, link.min_margin) != (x, w["margin"]):
+                    wrong.append(f"{name}: argmin and min_margin are not the witness's")
                 if flipped.kind == "mean":
+                    if w["pair"] != [x, 1.0]:
+                        wrong.append(f"{name}: pair {w['pair']!r} is not [ratio, 1.0]")
                     bundle = M.mean_bundle(x, 1.0)
                     args = [bundle[v] for v in C.MEAN_VARS]
                 else:
                     args = [x]
                 a, b = flipped.member_fns[j](*args), flipped.member_fns[j + 1](*args)
-                problem = _witness_problem(link.witness, a, b)
+                problem = _witness_problem(w, a, b)
                 if problem:
-                    wrong.append(f"{chain.id} flipped at {i}, link {j}: {problem}")
+                    wrong.append(f"{name}: {problem}")
                 checked += 1
     probe_reports = [(p, V.probe_sharpness(p).to_dict()) for p in cat.probes.values()]
     for case in V.theorem_m6_iff_suite()["cases"]:
@@ -338,6 +332,44 @@ def test_mean_chains_match_a_full_bundle_run(cat, monkeypatch):
         assert got == want, want["chain"]
 
 
+def test_refinement_bundles_each_point_once_per_check(cat, monkeypatch):
+    # links whose refinements meet at a ratio share its bundle, made once; the
+    # twin check then takes one bundle per link. Nothing is kept between
+    # checks: a second check makes the same calls and the same report.
+    chain = cat.get_chain("M23c-i1")
+    cfg = VerificationConfig(ratio_samples=20001)
+    scalar, refined = [], []
+
+    def counting_bundle(ratio, *args):
+        if isinstance(ratio, float):
+            scalar.append(ratio)
+        return M.mean_bundle(ratio, *args)
+
+    golden_refine = V._golden_refine
+
+    def recording_refine(value_fn, a, b):
+        def recorded(x):
+            refined.append(x)
+            return value_fn(x)
+
+        return golden_refine(recorded, a, b)
+
+    monkeypatch.setattr(V, "mean_bundle", counting_bundle)
+    monkeypatch.setattr(V, "_golden_refine", recording_refine)
+    runs = []
+    for _ in range(2):
+        scalar.clear()
+        refined.clear()
+        report = V.verify_chain(chain, cfg).to_dict()
+        report.pop("elapsed_s")
+        assert report["verdict"] == "verified_numeric"
+        links = len(report["links"])
+        assert len(refined) == links * (V._REFINE_STEPS + 2) > len(set(refined))
+        assert len(scalar) == len(set(refined)) + links
+        runs.append((len(scalar), report))
+    assert runs[0] == runs[1]
+
+
 def test_member_reading_an_unlisted_mean_fails_loudly(cat):
     chain = dataclasses.replace(cat.get_chain("M1c-i1"), mean_kinds=("A", "G"))
     with pytest.raises(DomainError, match="not a finite real"):
@@ -383,6 +415,21 @@ def test_probe_epsilon_too_small_to_move_the_constant_is_an_error(cat):
     message = "epsilon=1e-17 is too small for probe M1-lower: its constant 0.6666666666666666"
     with pytest.raises(DomainError, match=f"^{re.escape(message)} does not move$"):
         V.probe_sharpness(probe, config)
+
+
+@pytest.mark.parametrize(
+    "pid, eps, region",
+    [
+        ("M1-upper", 0.11, "near_right region [1.413716694115407, 1.5707963267948966]"),
+        ("M1-lower", 0.2, "near_zero region [0.0, 0.19634954084936207]"),
+    ],
+)
+def test_probe_endpoint_eps_that_empties_the_region_is_an_error(cat, pid, eps, region):
+    # the inset domain (eps * pi/2, pi/2 - eps * pi/2) misses the region
+    # wholly: a grid over it would run backwards, outside the region
+    message = f"endpoint_eps={eps!r} is too large for probe {pid}: it leaves no point of its {region}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        V.probe_sharpness(cat.get_probe(pid), VerificationConfig(samples=801, endpoint_eps=eps))
 
 
 # --- endpoint limits and monotonicity ----------------------------------------------------
