@@ -21,8 +21,10 @@ from it too. A block costs one member call and a few array operations, and
 no check holds a grid-sized array. Blocks are kept for speed and memory:
 scanning whole 20001-point grids instead read the benchmark's query_p50_ms
 13-27% slower on all three workloads and means_dense's peak_rss_mb 10.3%
-higher. Golden-section refinement and every reported value
-stay plain floats.
+higher. A check silences numpy's floating-point warnings once, around its
+block loop. Golden-section refinement and every reported value stay plain
+floats; a mean chain computes a refinement point's arguments, its mean
+bundle, once per check, so links whose searches meet share them.
 
 All verdicts are numeric evidence, not proof. Reports carry a reproducible
 witness (a concrete point with both side values) whenever something fails.
@@ -309,6 +311,9 @@ class _LinkScan:
 
     Every tie threshold is at least _TIE_REL, so a block whose lowest margin
     is at least -_TIE_REL holds no violation: skipping its search is exact.
+    The thresholds are formed only where they can still change the report,
+    and the caller silences numpy's warnings once per check, so that an inf
+    or nan margin warns nothing before it is reported.
     """
 
     def __init__(self, where: str, lhs_expr: str, rhs_expr: str, coord: str, x_at: Callable):

@@ -1,23 +1,23 @@
 """Run the benchmark in two source trees, in alternating pairs, and summarize.
 
 Usage: python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR OUT_JSON
-           [--pairs N] [--first-seed S] [--seconds T]
-           [--workloads W,...] [--parent-commit SHA] [--change-commit SHA]
+           [--pairs N] [--first-seed S] [--parent-commit SHA] [--change-commit SHA]
 
 PARENT_DIR and CHANGE_DIR are checkouts, such as ``git archive`` exports, each
 with its own ``bench/`` and ``src/``. Each tree's sources are compiled first
 with ``python3 -m compileall -q src``, and every run has
 PYTHONDONTWRITEBYTECODE=1, so both sides start from the same bytecode state.
-Pair k (k = 1..N) runs every workload at seed S + k - 1 as
+Pair k (k = 1..N, 10 by default) runs every workload at seed S + k - 1 as
 
     python3 bench/run.py --workload W --seed SEED --seconds T --trace 0
 
 from the root of each tree, the parent first in odd pairs and the change
-first in even ones, the workloads interleaved within each pair. Each run's
-JSON result line is printed to stdout as it lands, and OUT_JSON gets the
-summary: per workload and end-to-end metric, both sides' medians, their
-interquartile ranges (statistics.quantiles(n=4)), the change in percent and
-the pairs the change won and lost. Lower is better for every metric; a pair
+first in even ones, the workloads interleaved within each pair. The
+workloads and T, the run length, are those of the parent's BENCHMARK.json.
+Each run's JSON result line is printed to stdout as it lands, and OUT_JSON
+gets the summary: per workload and end-to-end metric, both sides' medians,
+their interquartile ranges (statistics.quantiles(n=4)), the change in
+percent and the pairs the change won and lost. Lower is better for every metric; a pair
 is won when the change reads lower, and a tie counts for neither side. A run
 that fails is a RuntimeError naming the tree, the workload and the seed.
 """
@@ -32,7 +32,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-WORKLOADS = ("suite", "m6_sweep", "means_dense")
 METRICS = ("setup_s", "wall_s", "query_p50_ms", "query_tail_ms", "peak_rss_mb")
 SIDES = ("parent", "change")
 
@@ -129,25 +128,25 @@ def main(argv=None) -> int:
     parser.add_argument("out", type=Path)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--workloads", default=",".join(WORKLOADS))
     parser.add_argument("--parent-commit")
     parser.add_argument("--change-commit")
     args = parser.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    declared = json.loads((trees["parent"] / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = declared["run_seconds"]
     for tree in trees.values():
         subprocess.run([sys.executable, "-m", "compileall", "-q", "src"], cwd=tree, check=True)
     runs = []
     for pair in range(1, args.pairs + 1):
         seed = args.first_seed + pair - 1
         order = SIDES if first_side(pair) == "parent" else SIDES[::-1]
-        for workload in args.workloads.split(","):
+        for workload in (w["name"] for w in declared["workloads"]):
             for side in order:
-                result = run_one(trees[side], workload, seed, args.seconds)
+                result = run_one(trees[side], workload, seed, seconds)
                 run = {"workload": workload, "seed": seed, "pair": pair, "side": side, "result": result}
                 print(json.dumps(run), flush=True)
                 runs.append(run)
-    summary = summarize(runs, args.seconds, args.parent_commit, args.change_commit)
+    summary = summarize(runs, seconds, args.parent_commit, args.change_commit)
     args.out.write_text(json.dumps(summary, indent=1) + "\n", encoding="utf-8")
     return 0
 
