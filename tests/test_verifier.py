@@ -150,6 +150,55 @@ def test_flipped_link_is_falsified_and_named(cat):
     assert bad[0].witness["margin"] < 0.0
 
 
+@pytest.fixture(scope="module")
+def flipped_links(cat):
+    """Every link with a witness of every flipped chain, as (name, chain,
+    link index, link report): the 165-chain sweep, run once for the module."""
+    cfg = VerificationConfig(samples=2001, ratio_samples=2001)
+    found = []
+    for chain in cat.chains.values():
+        for i in range(len(chain.members) - 1):
+            flipped = C.flipped_catalog(cat, chain.id, i).get_chain(chain.id)
+            for j, link in enumerate(V.verify_chain(flipped, cfg).links):
+                if link.witness is not None:
+                    found.append((f"{chain.id} flipped at {i}, link {j}", flipped, j, link))
+    return found
+
+
+def _float_sides(chain, j: int, x: float) -> tuple[float, float]:
+    """The members of link j called on floats at coordinate x; mean members
+    read the full mean bundle of the pair (x, 1)."""
+    if chain.kind == "mean":
+        bundle = M.mean_bundle(x, 1.0)
+        args = [bundle[v] for v in C.MEAN_VARS]
+    else:
+        args = [x]
+    return chain.member_fns[j](*args), chain.member_fns[j + 1](*args)
+
+
+def test_flipped_falsified_links_report_their_witness(flipped_links):
+    # Every falsified link of every flipped chain is judged at its witness:
+    # argmin and min_margin are the witness's, a mean witness's pair is
+    # (ratio, 1), and the witness violates by more than the tie threshold
+    # when the members are called on floats.
+    checked, wrong = 0, []
+    for name, flipped, j, link in flipped_links:
+        if link.verdict != "falsified":
+            continue
+        w = link.witness
+        x = w["t"] if flipped.kind == "kernel" else w["ratio"]
+        if (link.argmin, link.min_margin) != (x, w["margin"]):
+            wrong.append(f"{name}: argmin and min_margin are not the witness's")
+        if flipped.kind == "mean" and w["pair"] != [x, 1.0]:
+            wrong.append(f"{name}: pair {w['pair']!r} is not [ratio, 1.0]")
+        a, b = _float_sides(flipped, j, x)
+        if not b - a < -1e-13 * max(1.0, abs(a), abs(b)):
+            wrong.append(f"{name}: does not violate by more than the tie threshold")
+        checked += 1
+    assert checked >= 165
+    assert wrong == []
+
+
 def _witness_problem(w: dict, a: float, b: float) -> str | None:
     """What is wrong with a witness whose members give a and b as floats at
     its coordinate: its sides must be those floats, its margin their difference,
@@ -163,38 +212,17 @@ def _witness_problem(w: dict, a: float, b: float) -> str | None:
     return None
 
 
-def test_every_witness_re_evaluates_as_floats(cat):
+def test_every_witness_re_evaluates_as_floats(cat, flipped_links):
     # Each witness is reproducible from the report alone: the members called
     # on floats at its coordinate give its sides bit for bit. Mean members
-    # read the full mean bundle of the pair (ratio, 1). Every falsified link
-    # of every flipped chain is judged at its witness: argmin and min_margin
-    # are the witness's.
-    cfg = VerificationConfig(samples=2001, ratio_samples=2001)
+    # read the full mean bundle of the pair (ratio, 1).
     checked, wrong = 0, []
-    for chain in cat.chains.values():
-        for i in range(len(chain.members) - 1):
-            flipped = C.flipped_catalog(cat, chain.id, i).get_chain(chain.id)
-            coord = "t" if flipped.kind == "kernel" else "ratio"
-            for j, link in enumerate(V.verify_chain(flipped, cfg).links):
-                w = link.witness
-                if w is None:
-                    continue
-                x = w[coord]
-                name = f"{chain.id} flipped at {i}, link {j}"
-                if (link.argmin, link.min_margin) != (x, w["margin"]):
-                    wrong.append(f"{name}: argmin and min_margin are not the witness's")
-                if flipped.kind == "mean":
-                    if w["pair"] != [x, 1.0]:
-                        wrong.append(f"{name}: pair {w['pair']!r} is not [ratio, 1.0]")
-                    bundle = M.mean_bundle(x, 1.0)
-                    args = [bundle[v] for v in C.MEAN_VARS]
-                else:
-                    args = [x]
-                a, b = flipped.member_fns[j](*args), flipped.member_fns[j + 1](*args)
-                problem = _witness_problem(w, a, b)
-                if problem:
-                    wrong.append(f"{name}: {problem}")
-                checked += 1
+    for name, flipped, j, link in flipped_links:
+        x = link.witness["t" if flipped.kind == "kernel" else "ratio"]
+        problem = _witness_problem(link.witness, *_float_sides(flipped, j, x))
+        if problem:
+            wrong.append(f"{name}: {problem}")
+        checked += 1
     probe_reports = [(p, V.probe_sharpness(p).to_dict()) for p in cat.probes.values()]
     for case in V.theorem_m6_iff_suite()["cases"]:
         probe_reports += zip(C.m6_probe_specs(case["p"]), case["probes"])
