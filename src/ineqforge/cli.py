@@ -33,6 +33,8 @@ from .verifier import (
 # Every VerificationConfig field is a config-file key and a --flag, parsed
 # with the type of its default.
 _CONFIG_TYPES = {f.name: type(f.default) for f in dataclasses.fields(VerificationConfig)}
+# table holds every row until it writes them, about 77 MB per million rows.
+_TABLE_MAX_COUNT = 10**6
 
 
 def _read_config_file(path: str) -> dict:
@@ -233,8 +235,8 @@ def _cmd_table(args: argparse.Namespace) -> tuple[int, None]:
             raise IneqForgeError(f"{name} must be finite, got {value!r}")
     if not start < stop:
         raise IneqForgeError(f"empty range [{start!r}, {stop!r}]")
-    if args.count < 2:
-        raise IneqForgeError("--count must be at least 2")
+    if not 2 <= args.count <= _TABLE_MAX_COUNT:
+        raise IneqForgeError(f"--count must lie in [2, {_TABLE_MAX_COUNT}], got {args.count}")
     # Every row is computed before the output is opened, so a failing row
     # leaves no partial table behind. The rows' t are the verifier's grid.
     grid = _Grid(start, stop, args.count)

@@ -14,17 +14,15 @@ float sides if it violates, so a falsified link's min_margin and argmin are
 its witness's margin and coordinate.
 
 Every check takes its points from one grid, _Grid: numpy's linspace
-arithmetic, made one block of 4096 points at a time. Kernel chains and probes
-run over t, mean chains over the ratio, without ratio 1, and monotone checks
-over t in blocks that share their edge points; the CLI's table takes its rows
-from it too. A block costs one member call and a few array operations, and
-no check holds a grid-sized array. Blocks are kept for speed and memory:
-scanning whole 20001-point grids instead read the benchmark's query_p50_ms
-13-27% slower on all three workloads and means_dense's peak_rss_mb 10.3%
-higher. A check silences numpy's floating-point warnings once, around its
-block loop. Golden-section refinement and every reported value stay plain
-floats; a mean chain computes a refinement point's arguments, its mean
-bundle, once per check, so links whose searches meet share them.
+arithmetic, made one block of 4096 points at a time (see _BLOCK). Kernel
+chains and probes run over t, mean chains over the ratio, without ratio 1,
+and monotone checks over t, each block's steps starting from the previous
+block's last value; the CLI's table takes its rows from it too. A block
+costs one member call and a few array operations, and no check holds a
+grid-sized array. A check silences numpy's floating-point warnings once,
+around its block loop. Golden-section refinement and every reported value
+stay plain floats; a mean chain makes a ratio's arguments, its mean bundle,
+once per check, for every link's refinement and twin check.
 
 All verdicts are numeric evidence, not proof. Reports carry a reproducible
 witness (a concrete point with both side values) whenever something fails.
@@ -142,12 +140,12 @@ class _Grid:
         i = self.first + k
         return self.hi if i == self.n - 1 else i * self.step + self.lo
 
-    def blocks(self, shared: bool = False):
-        """The points as float arrays of _BLOCK points, or with ``shared`` of
-        _BLOCK steps: each block then ends on the next block's first point."""
+    def blocks(self):
+        """The points as float arrays of _BLOCK points; the last block holds
+        the rest, as few as one point."""
         np = _np()
-        for start in range(self.first, self.n - shared, _BLOCK):
-            stop = min(start + _BLOCK + shared, self.n)
+        for start in range(self.first, self.n, _BLOCK):
+            stop = min(start + _BLOCK, self.n)
             block = np.arange(start, stop, dtype=float) * self.step + self.lo
             if stop == self.n:
                 block[-1] = self.hi
@@ -168,18 +166,17 @@ def _evaluate(where: str, expr: str, fn: Callable, *args):
         raise DomainError(f"{where}: cannot evaluate {expr}: {exc}") from exc
 
 
-def _on_block(where: str, expr: str, fn: Callable, *args):
-    """fn on one block of grid points (the array arguments): a float array.
+def _on_block(where: str, expr: str, fn: Callable, n: int, *args):
+    """fn on the arguments made of one block of n grid points: a float array.
 
-    A float64 array of the block's length is returned as it is, a constant
-    member's float fills the block and a value that is not real becomes nan.
+    A float64 array of length n is returned as it is, a constant member's
+    float fills the block and a value that is not real becomes nan.
     The caller silences numpy's floating-point warnings, once per check:
     _LinkScan reports every non-finite value as a DomainError naming the
     link. An error raised by fn is a DomainError naming the check ``where``
     and fn's expression ``expr``.
     """
     np = _np()
-    n = max(len(a) for a in args if isinstance(a, np.ndarray))
     values = _evaluate(where, expr, fn, *args)
     if isinstance(values, np.ndarray) and values.dtype == np.float64 and values.shape == (n,):
         return values
@@ -427,35 +424,33 @@ def _chain_verdict(links: Iterable[LinkReport]) -> str:
     return verdict
 
 
+def _coordinate(x) -> tuple:
+    """The arguments of a member of the coordinate: the coordinate itself."""
+    return (x,)
+
+
 def _check_links(
     where: str, names: Sequence[str], fns: Sequence[Callable], coord: str, grid: _Grid,
-    args: Callable | None = None,
+    args: Callable = _coordinate, point: Callable = _coordinate,
 ) -> list[LinkReport]:
     """Every adjacent pair of members scanned over the grid block by block and
-    refined: a chain, or a probe as a two-member chain. The members take the
-    point ``coord`` or a block of them, or what ``args`` maps it to."""
+    refined: a chain, or a probe as a two-member chain. The members take what
+    ``args`` makes of a block of points ``coord`` and, while refining, what
+    ``point`` makes of one point."""
     scans = [_LinkScan(where, lhs, rhs, coord, grid.at) for lhs, rhs in zip(names, names[1:])]
     with _np().errstate(all="ignore"):
         for block in grid.blocks():
-            vec = (block,) if args is None else args(block)
-            values = [_on_block(where, name, fn, *vec) for name, fn in zip(names, fns)]
+            vec = args(block)
+            values = [_on_block(where, name, fn, len(block), *vec) for name, fn in zip(names, fns)]
             for scan, lhs_vals, rhs_vals in zip(scans, values, values[1:]):
                 scan.add(lhs_vals, rhs_vals)
 
-    # Links that meet at a refinement point share its arguments, made once
-    # per check.
-    point_args = None if args is None else functools.cache(args)
-
     def value_fn(lf: Callable, rf: Callable, x: float) -> tuple[float, float]:
-        vec = point_args(x)
+        vec = point(x)
         return lf(*vec), rf(*vec)
 
-    # Members of the point itself are called directly: every refinement step calls them.
     return [
-        scan.report(
-            (lambda t, lf=lf, rf=rf: (lf(t), rf(t))) if args is None
-            else functools.partial(value_fn, lf, rf)
-        )
+        scan.report(functools.partial(value_fn, lf, rf))
         for scan, lf, rf in zip(scans, fns, fns[1:])
     ]
 
@@ -470,18 +465,19 @@ def _mean_args(chain: Chain, ratio) -> list:
 
 
 def _verify_mean_chain(
-    where: str, chain: Chain, links: list[LinkReport], args: Callable
+    where: str, chain: Chain, links: list[LinkReport], point: Callable
 ) -> tuple[float, bool]:
     """A mean chain's twin check, taken once per link at its reported ratio:
     the largest gap between the mean margin and the scaled twins' margin, and
-    whether every gap is within tolerance. Each witness gets its pair."""
+    whether every gap is within tolerance, with the members' arguments from
+    the check's ``point``. Each witness gets its pair."""
     fns = chain.member_fns
     twin_max, twin_ok = 0.0, True
     for i, link in enumerate(links):
         if link.witness is not None:
             link.witness["pair"] = [link.witness["ratio"], 1.0]
         r = link.argmin
-        vec = args(r)
+        vec = point(r)
         lhs, rhs = (_evaluate(where, chain.members[k], fns[k], *vec) for k in (i, i + 1))
         scale = _evaluate(where, chain.scale, chain.scale_fn, *vec)
         t = _pair_angle(chain.substitution, r, 1.0)
@@ -518,10 +514,12 @@ def verify_chain(chain: Chain | str, config: VerificationConfig | None = None) -
     else:
         means = f"the means {', '.join(chain.mean_kinds)}"
         args = functools.partial(_evaluate, where, means, _mean_args, chain)
+        # Refinements that meet, and the twin check, share a ratio's bundle.
+        point = functools.cache(args)
         # Ratio 1, where every mean is equal, is left out.
         grid = _Grid(1.0, cfg.ratio_max, cfg.ratio_samples + 1, first=1)
-        links = _check_links(where, chain.members, chain.member_fns, "ratio", grid, args)
-        twin_max, twin_ok = _verify_mean_chain(where, chain, links, args)
+        links = _check_links(where, chain.members, chain.member_fns, "ratio", grid, args, point)
+        twin_max, twin_ok = _verify_mean_chain(where, chain, links, point)
         twin_rel = _TWIN_REL
     verdict = _chain_verdict(links)
     if twin_ok is False and verdict == "verified_numeric":
@@ -680,16 +678,19 @@ def verify_monotone(kernel: kernels.Kernel | str, config: VerificationConfig | N
 
     # Step i, at t_i, is a link from f(t_i) to f(t_i+1): for an increasing
     # kernel the later value is the larger side, for a decreasing one the
-    # earlier. Neighbouring blocks share their edge point, so every step lies
-    # in one block. Steps are not refined.
+    # earlier. A block's steps start from the previous block's last value, so
+    # every point is evaluated once. Steps are not refined.
     names = ("f(t_i)", "f(t_i+1)")[::sign]
     scan = _LinkScan(where, *names, "t", grid.at)
-    with _np().errstate(all="ignore"):
-        for block in grid.blocks(shared=True):
-            values = _on_block(where, kernel_id, k.fn, block)
+    np = _np()
+    carried = ()
+    with np.errstate(all="ignore"):
+        for block in grid.blocks():
+            values = np.concatenate((carried, _on_block(where, kernel_id, k.fn, len(block), block)))
             if scan.n == 0:
                 first = values[0].item()
             scan.add(*(values[:-1], values[1:])[::sign])
+            carried = values[-1:]
     link = scan.report(None)
     i = scan.idx
     value, value_next = scan.sides[::sign]
@@ -707,12 +708,9 @@ def verify_monotone(kernel: kernels.Kernel | str, config: VerificationConfig | N
     if witness is None and _violates(*(first, last)[::sign]):
         t, t_next = grid.at(0), grid.at(grid.n - 1)
         witness = {"t": t, "t_next": t_next, "value": first, "value_next": last}
+    verdict = "verified_numeric" if link.verdict == "verified_numeric" else "inconclusive"
     if witness is not None:
         verdict = "falsified"
-    elif link.verdict != "verified_numeric":
-        verdict = "inconclusive"
-    else:
-        verdict = "verified_numeric"
     report = {
         "kernel": kernel_id,
         "direction": direction,

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import io
 import json
+import random
 import subprocess
 import sys
 
@@ -296,6 +297,16 @@ def test_table_bad_range_and_count(capsys):
     assert code == 2 and "--count" in err
 
 
+def test_table_count_above_the_maximum_exits_2_before_any_row(capsys, monkeypatch):
+    def no_rows(*args):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(cli, "_Grid", no_rows)
+    code, out, err = run(capsys, "table", "sinc", "--count", str(10**6 + 1))
+    assert (code, out) == (2, "")
+    assert "--count must lie in [2, 1000000], got 1000001" in err
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -474,3 +485,58 @@ def test_refine_depth_is_gone_from_flags_and_config_files(tmp_path, child_env, c
     )
     assert proc.returncode == 2
     assert "refine" in proc.stderr and "Traceback" not in proc.stderr
+
+
+# --- fuzz guard ----------------------------------------------------------------------
+
+FUZZ_FLOATS = ["nan", "inf", "-inf", "-0", "5e-324", "1e308", "-1e308", "0", "1e-9",
+               "0.5", "1.5", "3", "100", "-1"]
+FUZZ_INTS = ["x", "1e3", "2.5", "nan", "", "-5", "0", "1", "2"]
+
+
+def _fuzz_int(rng):
+    """A small count, or one of the edge cases above in a third of the draws."""
+    return rng.choice(FUZZ_INTS) if rng.random() < 1 / 3 else str(rng.randint(3, 41))
+
+
+def _fuzz_argv(rng):
+    """One argv of a small size, its values drawn from the edge cases above."""
+    command = rng.choice(["list", "verify", "sharpness", "means", "table", "constants"])
+    if command == "list":
+        return [command, *rng.sample(["--chains", "--probes", "--kernels"], rng.randint(0, 2))]
+    if command == "constants":
+        return [command]
+    if command == "means":
+        return [command, "--a", rng.choice(FUZZ_FLOATS), "--b", rng.choice(FUZZ_FLOATS)]
+    if command == "table":
+        argv = [command, rng.choice(["sinc", "u(p=-1)", "k_ratio", "exp_tcoth", "nope"]),
+                "--count", _fuzz_int(rng)]
+        for flag in ("--start", "--stop"):
+            if rng.random() < 0.6:
+                argv += [flag, rng.choice(FUZZ_FLOATS)]
+        return argv
+    if command == "verify":
+        argv = [command, rng.choice(["M1", "M4b", "M6", "M1c-i1", "M23c-i1", "nope"])]
+    else:
+        argv = [command, rng.choice(["M1-lower", "M1-upper", "M6a-q", "nope"])]
+    argv += ["--samples", _fuzz_int(rng), "--ratio-samples", _fuzz_int(rng)]
+    for flag in ("--endpoint-eps", "--ratio-max", "--epsilon"):
+        if rng.random() < 0.25:
+            argv += [flag, rng.choice(FUZZ_FLOATS)]
+    return argv
+
+
+def test_cli_fuzz_ends_in_an_exit_code(capsys):
+    # a guard: every argv ends in exit 0, 1 or 2, argparse's SystemExit(2)
+    # counting as 2, and no other exception escapes main
+    rng = random.Random(20131)
+    for _ in range(400):
+        argv = _fuzz_argv(rng)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:
+            pytest.fail(f"{argv} raised {exc!r}")
+        assert code in (0, 1, 2), argv
+        capsys.readouterr()

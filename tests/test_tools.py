@@ -128,3 +128,48 @@ def test_bench_pairs_summarizes_alternating_pairs():
     assert (m["parent_runs"], m["change_runs"]) == (parent, change)
     with pytest.raises(ValueError, match="every pair needs one parent and one change run"):
         bench_pairs.summarize(runs[:-1], 30.0)
+
+
+def test_bench_pairs_verdicts_follow_the_benchmark_rules():
+    sys.path.insert(0, str(ROOT / "tools"))
+    try:
+        import bench_pairs
+    finally:
+        sys.path.remove(str(ROOT / "tools"))
+    steady = [1.0] * 10
+    spread = [1.0, 2.0] * 5
+    cases = {
+        # workload: parent runs, change runs
+        "slower": (steady, [1.3] * 10),
+        "faster": ([1.0 + k / 100 for k in range(10)], [0.5] * 10),
+        "noisy": (spread, [1.5] * 10),
+        "noisy_but_below": (spread, [0.95] * 10),
+        "same": (steady, steady),
+        "one_pair_lost": ([1.0 + k / 100 for k in range(10)], [0.5] * 9 + [2.0]),
+        "two_pairs_lost": ([1.0 + k / 100 for k in range(10)], [0.5] * 8 + [2.0] * 2),
+    }
+    runs = []
+    for workload, (parent, change) in cases.items():
+        for pair, (p, c) in enumerate(zip(parent, change), start=1):
+            runs += [_bench_run(workload, pair, pair, "parent", p),
+                     _bench_run(workload, pair, pair, "change", c)]
+    bounds = dict.fromkeys(bench_pairs.METRICS, 0.25) | {"peak_rss_mb": 0.1}
+    verdicts = bench_pairs.verdicts(bench_pairs.summarize(runs, 30.0), bounds)
+    assert {w: set(v.values()) for w, v in verdicts.items() if w != "same"} == {
+        "slower": {"regression"},
+        "faster": {"gain"},
+        # the parent's quartiles are 1 and 2: a spread of 100% of its median
+        "noisy": {"unresolved"},
+        # every change run beats every parent run, by less than the spread
+        "noisy_but_below": {"no_regression"},
+        "one_pair_lost": {"gain"},
+        "two_pairs_lost": {"no_regression"},
+    }
+    assert set(verdicts["same"].values()) == {"no_regression"}
+    # +15% is within the 25% bounds and beyond peak_rss_mb's 10% bound
+    runs = [_bench_run("rss", k, k, side, v) for k in range(1, 11)
+            for side, v in (("parent", 1.0), ("change", 1.15))]
+    verdicts = bench_pairs.verdicts(bench_pairs.summarize(runs, 30.0), bounds)
+    assert verdicts["rss"] == dict.fromkeys(bench_pairs.METRICS, "no_regression") | {
+        "peak_rss_mb": "regression"
+    }

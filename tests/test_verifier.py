@@ -361,9 +361,9 @@ def test_mean_chains_match_a_full_bundle_run(cat, monkeypatch):
 
 
 def test_refinement_bundles_each_point_once_per_check(cat, monkeypatch):
-    # links whose refinements meet at a ratio share its bundle, made once; the
-    # twin check then takes one bundle per link. Nothing is kept between
-    # checks: a second check makes the same calls and the same report.
+    # links whose refinements meet at a ratio share its bundle, made once, and
+    # the twin check reuses the bundles at the links' ratios. Nothing is kept
+    # between checks: a second check makes the same calls and the same report.
     chain = cat.get_chain("M23c-i1")
     cfg = VerificationConfig(ratio_samples=20001)
     scalar, refined = [], []
@@ -393,7 +393,7 @@ def test_refinement_bundles_each_point_once_per_check(cat, monkeypatch):
         assert report["verdict"] == "verified_numeric"
         links = len(report["links"])
         assert len(refined) == links * (V._REFINE_STEPS + 2) > len(set(refined))
-        assert len(scalar) == len(set(refined)) + links
+        assert sorted(scalar) == sorted(set(refined) | {link["argmin"] for link in report["links"]})
         runs.append((len(scalar), report))
     assert runs[0] == runs[1]
 
@@ -643,6 +643,34 @@ def test_monotone_finds_a_wrong_way_step_at_a_block_edge(direction, step):
     assert report["worst_at"] == ts[step].item()
     assert report["worst_step"] == sign * (values[step + 1] - values[step]).item()
     assert report["net_change"] == sign * (values[-1] - values[0]).item()
+
+
+@pytest.mark.parametrize(
+    "samples, step",
+    [
+        (20001, V._BLOCK - 1),  # from a block's last point to the next block's first
+        (20001, 2 * V._BLOCK - 1),
+        (20001, 20001 - 2),  # the last step, into hi
+        (V._BLOCK + 1, V._BLOCK - 1),  # the last block holds one point
+        (2 * V._BLOCK + 1, 2 * V._BLOCK - 1),
+    ],
+)
+def test_monotone_steps_across_block_edges(samples, step):
+    # a decreasing kernel that jumps up by 1 on one chosen step, its only
+    # wrong-way step: the witness is that step, wherever the blocks end
+    config = VerificationConfig(samples=samples)
+    grid = V._Grid(*V._inset(0.0, 3.0, config.endpoint_eps), samples)
+    cut = grid.at(step)
+
+    def jump(t):
+        return np.where(t > cut, 1.0, 0.0) - t
+
+    kernel = K.Kernel("jump", 0.0, 3.0, jump, None, None, monotone="decreasing")
+    report = V.verify_monotone(kernel, config)
+    assert report["verdict"] == "falsified"
+    t, t_next = grid.at(step), grid.at(step + 1)
+    assert (report["witness"]["t"], report["witness"]["t_next"]) == (t, t_next)
+    assert report["worst_at"] == t
 
 
 def test_monotone_flat_step_of_a_decreasing_kernel_is_minus_zero():

@@ -17,9 +17,12 @@ workloads and T, the run length, are those of the parent's BENCHMARK.json.
 Each run's JSON result line is printed to stdout as it lands, and OUT_JSON
 gets the summary: per workload and end-to-end metric, both sides' medians,
 their interquartile ranges (statistics.quantiles(n=4)), the change in
-percent and the pairs the change won and lost. Lower is better for every metric; a pair
-is won when the change reads lower, and a tie counts for neither side. A run
-that fails is a RuntimeError naming the tree, the workload and the seed.
+percent and the pairs the change won and lost, and ``verdicts``: the
+benchmark's verdict on each workload and metric, against the bounds of the
+parent's BENCHMARK.json ``end_to_end``, which the record keeps as
+``bounds``. Lower is better for every metric; a pair is won when the change
+reads lower, and a tie counts for neither side. A run that fails is a
+RuntimeError naming the tree, the workload and the seed.
 """
 
 from __future__ import annotations
@@ -121,6 +124,36 @@ def summarize(runs: list[dict], seconds: float, parent_commit=None, change_commi
     }
 
 
+def verdicts(summary: dict, bounds: dict[str, float]) -> dict:
+    """The benchmark's verdict on each workload and metric of ``summary``, a
+    record of summarize, with ``bounds`` each metric's relative bound. The
+    first rule that holds gives the verdict:
+
+    - ``regression``: the change's median is worse than the parent's by more
+      than the bound;
+    - ``gain``: the change won at least 9 in 10 pairs, and its median is
+      better than the parent's by more than the parent's interquartile range;
+    - ``unresolved``: the parent's interquartile range exceeds the bound
+      relative to its median, and not every change run beats every parent run;
+    - ``no_regression`` otherwise.
+    """
+    result = {}
+    for workload, record in summary["workloads"].items():
+        result[workload] = {}
+        for name, m in record["metrics"].items():
+            bound, parent, change = bounds[name], m["parent_median"], m["change_median"]
+            if change - parent > bound * parent:
+                verdict = "regression"
+            elif 10 * m["pairs_won"] >= 9 * record["pairs"] and parent - change > m["parent_iqr"]:
+                verdict = "gain"
+            elif m["parent_iqr"] > bound * parent and not max(m["change_runs"]) < min(m["parent_runs"]):
+                verdict = "unresolved"
+            else:
+                verdict = "no_regression"
+            result[workload][name] = verdict
+    return result
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
@@ -147,6 +180,8 @@ def main(argv=None) -> int:
                 print(json.dumps(run), flush=True)
                 runs.append(run)
     summary = summarize(runs, seconds, args.parent_commit, args.change_commit)
+    summary["bounds"] = {m["name"]: m["bound"] for m in declared["end_to_end"]}
+    summary["verdicts"] = verdicts(summary, summary["bounds"])
     args.out.write_text(json.dumps(summary, indent=1) + "\n", encoding="utf-8")
     return 0
 
