@@ -8,7 +8,9 @@ parser dependency.  A catalog load compiles each distinct expression once.
 The M6 exponent family is a table of templates per exponent regime with the
 exponent as a slot: filled with its literal they are the printed members and
 probe sides, and filled with the name ``q`` they are compiled once and bound
-to each exponent, so building a regime chain compiles nothing.
+to each exponent, so building a regime chain compiles nothing. A kernel
+record with an ``m6_exponent`` in place of members and domain is the regime
+chain, printed with the exponent in parentheses so that 6/5 reads as one.
 
 A mean chain transcribes a kernel chain through the arcsin or arctan
 substitution. Its ``counterpart`` names one ``[kernel_chain_id,
@@ -285,6 +287,16 @@ def _build_chain(
     chain_id = _field(record, "id", "a chain record")
     where = f"chain {chain_id!r}"
     kind = _field(record, "kind", where)
+    if "m6_exponent" in record:
+        expr = _field(record, "m6_exponent", where)
+        if kind != "kernel" or "members" in record or "domain" in record:
+            raise CatalogError(f"{where}: 'm6_exponent' needs kind 'kernel' and no members or domain")
+        try:
+            q = evaluate_constant_expression(expr, compile_fn)
+            regime = _m6_exponent(q)[2]
+        except CatalogError as exc:
+            raise CatalogError(f"{where} has 'm6_exponent' {expr!r}: {exc}") from None
+        return _m6_chain(chain_id, q, f"({expr})", regime)
     members = _expressions(record, "members", where)
     if kind not in ("kernel", "mean"):
         raise CatalogError(f"chain {chain_id!r} has unknown kind {kind!r}")
@@ -489,6 +501,18 @@ def _m6_exponent(p: float) -> tuple[float, str, str]:
     )
 
 
+def _m6_chain(chain_id: str, q: float, literal: str, regime: str) -> Chain:
+    """The regime's chain at exponent ``q``, printed with ``literal`` in the slot."""
+    forms = _M6_REGIMES[regime][0]
+    return Chain(
+        id=chain_id,
+        kind="kernel",
+        members=tuple(form.format(q=literal) for form in forms),
+        member_fns=tuple(partial(_m6_compiled()[form, ("t",)], q) for form in forms),
+        domain=_M6_DOMAIN,
+    )
+
+
 def make_m6_chain(p: float) -> Chain:
     """Build the optimal convex-combination chain for exponent ``p``.
 
@@ -497,15 +521,7 @@ def make_m6_chain(p: float) -> Chain:
     CatalogError is raised.
     """
     q, literal, regime = _m6_exponent(p)
-    forms = _M6_REGIMES[regime][0]
-    compiled = _m6_compiled()
-    return Chain(
-        id=f"M6(p={literal})",
-        kind="kernel",
-        members=tuple(form.format(q=literal) for form in forms),
-        member_fns=tuple(partial(compiled[form, ("t",)], q) for form in forms),
-        domain=_M6_DOMAIN,
-    )
+    return _m6_chain(f"M6(p={literal})", q, literal, regime)
 
 
 def m6_probe_specs(p: float) -> list[Probe]:

@@ -457,11 +457,10 @@ def _check_links(
 
 def _mean_args(chain: Chain, ratio) -> list:
     """The MEAN_VARS arguments of a mean chain's members at the pairs
-    (ratio, 1): the means the chain reads, and nan of ratio's shape in every
-    other slot, so that a member reading an unlisted mean fails loudly."""
+    (ratio, 1): the means the chain reads, and nan in every other slot, so
+    that a member reading an unlisted mean fails loudly."""
     bundle = mean_bundle(ratio, 1.0, chain.mean_kinds)
-    nan = math.nan if isinstance(ratio, float) else _np().broadcast_to(math.nan, ratio.shape)
-    return [bundle.get(v, nan) for v in MEAN_VARS]
+    return [bundle.get(v, math.nan) for v in MEAN_VARS]
 
 
 def _verify_mean_chain(

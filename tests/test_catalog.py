@@ -1,8 +1,10 @@
 """Chain catalog: JSON loading, expression compilation, parametric builders."""
 
 import ast
+import json
 import math
 from collections import Counter
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -11,6 +13,12 @@ from hypothesis import strategies as st
 
 from ineqforge import catalog as C
 from ineqforge.errors import CatalogError
+from ineqforge.means import mean_bundle
+
+
+def _packaged_chain_records() -> list:
+    raw = resources.files("ineqforge.data").joinpath("chains.json").read_text("utf-8")
+    return json.loads(raw)["chains"]
 
 
 def test_packaged_catalog_shape():
@@ -89,8 +97,13 @@ def test_load_compiles_each_distinct_expression_once(monkeypatch):
     # one parse per distinct (expression, arguments) pair: the mean chains'
     # read sets come from the compile's own walk of the tree
     assert parses == Counter(expr for expr, _ in calls)
-    # every member and probe side came through the counted compiler
+    # every member and probe side came through the counted compiler, except
+    # the members of the records built from the M6 templates:
+    # test_packaged_expressions_match_a_fresh_compile_of_their_text covers them
+    templated = {r["id"] for r in _packaged_chain_records() if "m6_exponent" in r}
     for chain in cat.chains.values():
+        if chain.id in templated:
+            continue
         args = ("t",) if chain.kind == "kernel" else C.MEAN_VARS
         assert all((m, args) in calls for m in chain.members), chain.id
     for probe in cat.probes.values():
@@ -276,6 +289,102 @@ def test_m6_templates_match_a_fresh_compile_of_the_printed_strings(p):
                 for t in _T_POINTS:
                     assert _same_bits(fn(coef, t), fresh(coef, t)), (side, coef, t)
                 assert _same_bits(fn(coef, _T_GRID), fresh(coef, _T_GRID)), (side, coef)
+
+
+def _bits_or_error(fn, *args):
+    """fn(*args) as float64 bytes, or the name of the error it raised."""
+    try:
+        with np.errstate(all="ignore"):
+            value = np.asarray(fn(*args), dtype=float)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc).__name__
+    return value.shape, value.tobytes()
+
+
+def _kernel_points(domain):
+    """Five floats inside ``domain`` and a 4097-point array across it."""
+    lo, hi = domain
+    floats = [lo + (hi - lo) * f for f in (1e-6, 0.25, 0.5, 0.75, 1 - 1e-6)]
+    return [*floats, np.linspace(lo, hi, 4099)[1:-1]]
+
+
+def _bundle_args(ratio) -> list:
+    bundle = mean_bundle(ratio, 1.0)
+    return [bundle[v] for v in C.MEAN_VARS]
+
+
+def test_packaged_expressions_match_a_fresh_compile_of_their_text():
+    # What a report prints must be what was evaluated: each packaged
+    # expression, compiled again from its text, gives the bound function's
+    # bits. This covers the members built from the M6 templates too.
+    cat = C.load_catalog()
+    ratios = (1.0 + 1e-6, 1.5, 3.0, 47.5, 1e4, np.geomspace(1.0 + 1e-6, 1e4, 4097))
+    mean_points = [_bundle_args(r) for r in ratios]
+    for chain in cat.chains.values():
+        if chain.kind == "kernel":
+            args, points = ("t",), [(t,) for t in _kernel_points(chain.domain)]
+            exprs = zip(chain.members, chain.member_fns)
+        else:
+            args, points = C.MEAN_VARS, mean_points
+            exprs = [*zip(chain.members, chain.member_fns), (chain.scale, chain.scale_fn)]
+        for expr, fn in exprs:
+            fresh = C.compile_expression(expr, args)
+            for point in points:
+                assert _bits_or_error(fn, *point) == _bits_or_error(fresh, *point), (chain.id, expr)
+    for probe in cat.probes.values():
+        assert _same_bits(probe.base_value, C.evaluate_constant_expression(probe.base)), probe.id
+        for side, fn in ((probe.lhs, probe.lhs_fn), (probe.rhs, probe.rhs_fn)):
+            fresh = C.compile_expression(side, ("p", "t"))
+            for coef in (probe.base_value - 1e-3, probe.base_value + 1e-3):
+                for t in _kernel_points(probe.domain):
+                    assert _bits_or_error(fn, coef, t) == _bits_or_error(fresh, coef, t), (
+                        probe.id, side, coef)
+
+
+# The packaged records built from the M6 templates: exponent, position in the
+# catalog and printed members.
+_M6_RECORDS = {
+    "M6": ("6/5", 27, ("(1-exp(-(6/5)))*cos(t)**(6/5)+exp(-(6/5))",
+                       "exp_tcot(t)**(6/5)", "(2/3)*cos(t)**(6/5)+1/3")),
+    "M6-p05": ("1/2", 28, ("(2/3)*cos(t)**(1/2)+1/3", "exp_tcot(t)**(1/2)",
+                           "(1-exp(-(1/2)))*cos(t)**(1/2)+exp(-(1/2))")),
+    "M6-pm1": ("-1", 29, ("1", "exp_tcot(t)**(-1)", "(2/3)*cos(t)**(-1)+1/3")),
+}
+
+
+def test_packaged_m6_records_are_the_regime_chains_at_their_exponents():
+    assert [r for r in _packaged_chain_records() if "m6_exponent" in r] == [
+        {"id": cid, "kind": "kernel", "m6_exponent": exponent}
+        for cid, (exponent, _, _) in _M6_RECORDS.items()
+    ]
+    cat = C.load_catalog()
+    ids = list(cat.chains)
+    for cid, (_, position, members) in _M6_RECORDS.items():
+        chain = cat.get_chain(cid)
+        assert ids.index(cid) == position
+        assert (chain.kind, chain.domain, chain.members) == ("kernel", (0.0, math.pi / 2), members)
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        {"m6_exponent": "0"},  # no two-sided form at 0 or in (1, 6/5)
+        {"m6_exponent": "11/10"},
+        {"m6_exponent": "6/"},  # does not parse
+        {"m6_exponent": "t"},
+        {"m6_exponent": "1/0"},
+        {"m6_exponent": 1.2},  # not a string
+        {"m6_exponent": ["6/5"]},
+        {"m6_exponent": "6/5", "members": ["1", "cos(t)"]},
+        {"m6_exponent": "6/5", "domain": ["0", "pi/2"]},
+        {"m6_exponent": "6/5", "kind": "mean"},
+        {"m6_exponent": "6/5", "kind": "mean", "substitution": "arcsin", "scale": "A",
+         "counterpart": [["M1c", 0], ["M1c", 3], ["M1c", 4]]},
+    ],
+)
+def test_a_malformed_m6_exponent_record_names_the_chain(record):
+    with pytest.raises(CatalogError, match=r"^chain 'm6-x'.*'m6_exponent'"):
+        C._build_chain({"id": "m6-x", "kind": "kernel", **record})
 
 
 def test_m6_builders_compile_nothing_once_warm(monkeypatch):

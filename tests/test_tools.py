@@ -18,6 +18,7 @@ DIGEST_FAMILIES = [
     ("flipped", 165),
     ("flipped_dense", 165),
     ("monotone_flipped", 92),
+    ("catalog", 67),
 ]
 
 

@@ -23,7 +23,10 @@ exits with code 2; run it on that tree alone for the traceback. The families:
 - flipped_dense: the same flipped chains at the defaults;
 - monotone_flipped: the monotone check of every kernel with a declared
   direction, with that direction flipped and as declared, at 2001 and 20001
-  samples. The flipped runs reach the check's falsified path.
+  samples (the flipped runs reach the check's falsified path);
+- catalog: the text of every packaged chain and probe as loaded, with the
+  fields in CHAIN_FIELDS and PROBE_FIELDS, so a change to how the catalog is
+  built can be shown to load the same expressions, domains and constants.
 
 Only public calls that take a Chain, Probe or Kernel object are used, and
 the catalog is listed through its ``chains`` and ``probes`` mappings, so the
@@ -48,6 +51,12 @@ FIXED_EXPONENTS = (1.2, 2.0, 3.7, 1.0, 0.5, 0.013, -0.2, -1.0, -3.9)
 SEEDED_PER_REGIME = 20
 SEED = 1212
 MEAN_RATIO_MAX = (3.0, 47.5, 1e4, 1e8, 1e12)
+CHAIN_FIELDS = (
+    "id", "kind", "members", "domain", "substitution", "scale", "counterpart", "mean_kinds",
+)
+PROBE_FIELDS = (
+    "id", "chain", "domain", "lhs", "rhs", "base", "base_value", "direction", "region",
+)
 
 
 def _seeded_exponents() -> list[float]:
@@ -106,6 +115,10 @@ def _families(catalog, kernels, verifier):
         if kernel.monotone is not None
         for report in _monotone_flipped(verifier, kernel)
     ]
+    yield "catalog", (
+        [{f: getattr(c, f) for f in CHAIN_FIELDS} for c in chains]
+        + [{f: getattr(p, f) for f in PROBE_FIELDS} for p in probes]
+    )
 
 
 def _monotone_flipped(verifier, kernel) -> list:
